@@ -34,27 +34,36 @@ def _int_arg(text: str) -> int:
         return int(text)
     except ValueError:
         pass
-    value = float(text)
+    value = _float_arg(text)
     if value != int(value):
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
     return int(value)
 
 
-def _alpha_arg(text: str) -> float:
-    if text.lower() in ("inf", "infinity"):
-        return math.inf
+def _float_arg(text: str) -> float:
+    """Finite float flag; nan and +-inf are malformed arguments."""
     value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"alpha must be >= 0, got {text}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(_alpha_arg(t) if t.lower() == "inf" else float(t) for t in text.split(","))
+def _alpha_arg(text: str) -> float:
+    """Exponent flag: a float >= 0, or inf for the nearest-neighbor kernel."""
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"alpha must be >= 0 or inf, got {text!r}")
+    return value
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(_int_arg(t) for t in text.split(","))
+def _list_arg(item):
+    """Comma-separated list flag whose entries are parsed by item."""
+
+    def parse(text: str) -> tuple:
+        return tuple(item(t) for t in text.split(","))
+
+    parse.__name__ = f"list of {item.__name__}"
+    return parse
 
 
 def _kernel_from_args(args) -> Kernel:
@@ -87,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_arg, required=True)
     p.add_argument("--alpha", type=_alpha_arg)
     p.add_argument("--kernel", type=str, help="kernel spec, e.g. powerlog:alpha=1.0,beta=1.0")
-    p.add_argument("--c", type=float, required=True)
+    p.add_argument("--c", type=_float_arg, required=True)
     p.add_argument("--seed", type=_int_arg, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)
@@ -98,16 +107,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_components)
 
     p = sub.add_parser("gw-rho", help="Galton-Watson extinction/survival probabilities")
-    p.add_argument("--c", type=float, required=True)
+    p.add_argument("--c", type=_float_arg, required=True)
     p.add_argument("--n", type=_int_arg, help="use the exact finite-n degree law")
     p.add_argument("--alpha", type=_alpha_arg, help="exponent for the finite-n law")
-    p.add_argument("--tol", type=float, default=branching.DEFAULT_TOL)
+    p.add_argument("--tol", type=_float_arg, default=branching.DEFAULT_TOL)
     p.set_defaults(func=cmd_gw_rho)
 
     p = sub.add_parser("sweep", help="largest-component sweep over an (alpha, c, n) grid")
-    p.add_argument("--alphas", type=_float_list, required=True)
-    p.add_argument("--cs", type=_float_list, required=True)
-    p.add_argument("--ns", type=_int_list, required=True)
+    p.add_argument("--alphas", type=_list_arg(_alpha_arg), required=True)
+    p.add_argument("--cs", type=_list_arg(_float_arg), required=True)
+    p.add_argument("--ns", type=_list_arg(_int_arg), required=True)
     p.add_argument("--reps", type=_int_arg, default=10)
     p.add_argument("--seed", type=_int_arg, default=0)
     p.add_argument("--omega-rule", default="log4")
@@ -119,8 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_arg, required=True)
     p.add_argument("--alpha", type=_alpha_arg)
     p.add_argument("--kernel", type=str)
-    p.add_argument("--c", type=float, required=True)
-    p.add_argument("--ms", type=_int_list, required=True)
+    p.add_argument("--c", type=_float_arg, required=True)
+    p.add_argument("--ms", type=_list_arg(_int_arg), required=True)
     p.add_argument("--reps", type=_int_arg, default=20)
     p.add_argument("--seed", type=_int_arg, default=0)
     p.add_argument("--pairs-cap", type=_int_arg, default=1000)
@@ -134,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_arg, required=True)
     p.add_argument("--alpha", type=_alpha_arg)
     p.add_argument("--kernel", type=str)
-    p.add_argument("--c", type=float, required=True)
+    p.add_argument("--c", type=_float_arg, required=True)
     p.add_argument("--reps", type=_int_arg, default=20)
     p.add_argument("--seed", type=_int_arg, default=0)
     p.add_argument("--out", required=True)
@@ -144,8 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_arg, required=True)
     p.add_argument("--alpha", type=_alpha_arg)
     p.add_argument("--kernel", type=str)
-    p.add_argument("--cprime", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--cprime", type=_float_arg, required=True)
+    p.add_argument("--delta", type=_float_arg, required=True)
     p.add_argument("--omega", default="log4", help='cutoff: integer, "log4", or "loglog"')
     p.add_argument("--reps", type=_int_arg, default=20)
     p.add_argument("--seed", type=_int_arg, default=0)
@@ -155,8 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("probe", help="fraction trends for an explicit kernel over (c, n)")
     p.add_argument("--kernel", type=str, required=True)
-    p.add_argument("--cs", type=_float_list, required=True)
-    p.add_argument("--ns", type=_int_list, required=True)
+    p.add_argument("--cs", type=_list_arg(_float_arg), required=True)
+    p.add_argument("--ns", type=_list_arg(_int_arg), required=True)
     p.add_argument("--reps", type=_int_arg, default=10)
     p.add_argument("--seed", type=_int_arg, default=0)
     p.add_argument("--omega-rule", default="log4")

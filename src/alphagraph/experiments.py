@@ -11,7 +11,6 @@ import csv
 import json
 import math
 import os
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -27,7 +26,7 @@ from .model import (
     PowerLawKernel,
     kernel_for_alpha,
 )
-from .sampler import Graph, sample_fast, sample_filtration, subgraph_at
+from .sampler import Graph, atomic_write, sample_fast, sample_filtration, subgraph_at
 from .streams import stream
 
 __all__ = [
@@ -553,19 +552,6 @@ def sprinkling_experiment(
 # ---------------------------------------------------------------------------
 
 
-def _atomic_text(path: str | Path, text: str) -> None:
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _csv_value(x) -> str:
     if x is None:
         return ""
@@ -578,14 +564,14 @@ def _csv_value(x) -> str:
 
 def write_rows_csv(path: str | Path, fieldnames: list[str], rows: list[dict]) -> None:
     """CSV with floats at 17 significant digits, written atomically."""
-    import io
 
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(fieldnames)
-    for row in rows:
-        writer.writerow([_csv_value(row[k]) for k in fieldnames])
-    _atomic_text(path, buf.getvalue())
+    def body(fh):
+        writer = csv.writer(fh)
+        writer.writerow(fieldnames)
+        for row in rows:
+            writer.writerow([_csv_value(row[k]) for k in fieldnames])
+
+    atomic_write(path, body)
 
 
 def write_sweep_csv(path: str | Path, result: SweepResult) -> None:
@@ -597,4 +583,5 @@ def write_sweep_csv(path: str | Path, result: SweepResult) -> None:
 
 def write_json_sidecar(path: str | Path, payload: dict) -> None:
     """Provenance sidecar: the full spec/config that produced an output."""
-    _atomic_text(path, json.dumps(payload, indent=2, default=str) + "\n")
+    text = json.dumps(payload, indent=2, default=str) + "\n"
+    atomic_write(path, lambda fh: fh.write(text))

@@ -17,8 +17,10 @@ rows sorted lexicographically.
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +49,8 @@ __all__ = [
 ]
 
 NAIVE_GUARD_N = 10_000
+# Largest n whose pair keys lo*n + hi < n^2 (and pair counts) fit in int64.
+MAX_PAIR_KEY_N = math.isqrt(np.iinfo(np.int64).max)
 
 
 class Graph:
@@ -75,9 +79,9 @@ class Graph:
             u = self.edges[:, 0]
             v = self.edges[:, 1]
             src = np.concatenate([u, v])
-            dst = np.concatenate([v, u])
-            order = np.lexsort((dst, src))
-            neighbors = dst[order]
+            keys = src * np.int64(self.n) + np.concatenate([v, u])
+            keys.sort()
+            neighbors = keys % self.n
             counts = np.bincount(src, minlength=self.n)
             indptr = np.concatenate([[0], np.cumsum(counts)])
             self._adj = (indptr, neighbors)
@@ -110,12 +114,21 @@ def _validate_edges(n: int, edges: np.ndarray) -> None:
         raise ValueError("edges must be sorted and duplicate-free")
 
 
+def _pair_keys(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Key lo*n + hi of each unordered pair; key order is canonical row order."""
+    return np.minimum(u, v).astype(np.int64) * np.int64(n) + np.maximum(u, v)
+
+
+def _keys_to_rows(n: int, keys: np.ndarray) -> np.ndarray:
+    lo, hi = np.divmod(keys, np.int64(n))
+    return np.column_stack([lo, hi])
+
+
 def canonical_edges(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Sort endpoints within rows and rows lexicographically."""
-    lo = np.minimum(u, v).astype(np.int64)
-    hi = np.maximum(u, v).astype(np.int64)
-    order = np.argsort(lo * np.int64(n) + hi, kind="stable")
-    return np.column_stack([lo[order], hi[order]])
+    keys = _pair_keys(n, u, v)
+    keys.sort()
+    return _keys_to_rows(n, keys)
 
 
 class Filtration:
@@ -251,13 +264,15 @@ def _select_class_members(
     counts: np.ndarray,
     offsets: np.ndarray,
 ) -> np.ndarray:
-    """Choose counts[j] distinct members of each class, as global pair keys.
+    """Choose counts[j] distinct members of each class, as sorted global pair keys.
 
     Classes are intervals [offsets[j], offsets[j]+m_pairs[j]) of an implicit
     global pair index.  Clamped classes (count == m) are emitted whole;
     dense classes use a partial shuffle; sparse classes are filled by
-    vectorized rejection across all classes at once, so the per-class cost
-    stays proportional to the number of selected pairs.
+    vectorized rejection across all classes at once: each round draws the
+    missing members with replacement, merges them into the chosen set by
+    one sort, and drops repeats with an adjacent-difference mask, so the
+    per-class cost stays proportional to the number of selected pairs.
     """
     nz = np.nonzero(counts)[0]
     parts: list[np.ndarray] = []
@@ -277,8 +292,12 @@ def _select_class_members(
     chosen = np.empty(0, dtype=np.int64)
     while sparse.size:
         cls = np.repeat(sparse, need)
-        cand = offsets[cls] + rng.integers(0, m_pairs[cls])
-        chosen = np.unique(np.concatenate([chosen, cand]))
+        chosen = np.concatenate([chosen, offsets[cls] + rng.integers(0, m_pairs[cls])])
+        chosen.sort()
+        fresh = np.empty(chosen.shape, dtype=bool)
+        fresh[:1] = True
+        np.not_equal(chosen[1:], chosen[:-1], out=fresh[1:])
+        chosen = chosen[fresh]
         got = np.searchsorted(chosen, offsets[sparse] + m_pairs[sparse]) - np.searchsorted(
             chosen, offsets[sparse]
         )
@@ -287,36 +306,44 @@ def _select_class_members(
         sparse, need = sparse[alive], need[alive]
     parts.append(chosen)
 
-    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-
-
-def _keys_to_edges(keys: np.ndarray, n: int, offsets: np.ndarray) -> np.ndarray:
-    """Map global pair keys back to canonical (u, v) rows.
-
-    The class at distance d enumerates its pairs as (u, (u+d) mod n) for
-    u = 0..m_d-1, which covers each unordered pair exactly once.
-    """
-    j = np.searchsorted(offsets, keys, side="right") - 1
-    u = keys - offsets[j]
-    d = j + 1
-    v = (u + d) % n
-    return canonical_edges(n, u, v)
+    # Every part is sorted and the class intervals are disjoint, so a stable
+    # (merging) sort of the concatenation is close to linear.
+    return np.sort(np.concatenate(parts), kind="stable")
 
 
 def _class_offsets(m_pairs: np.ndarray) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(m_pairs)]).astype(np.int64)
 
 
+def _sample_members(
+    rng: np.random.Generator, params: ModelParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw the edge set: Binomial counts per distance class, then members.
+
+    Returns (j, u, v) per edge, in increasing global pair-key order: edge
+    (u, v) is the pair (u, (u + d) mod n) of the class j = d - 1, which
+    enumerates its pairs as u = 0..m_d-1 and so covers each unordered pair
+    exactly once.
+    """
+    n = params.n
+    if n > MAX_PAIR_KEY_N:
+        raise ValueError(f"n={n} exceeds {MAX_PAIR_KEY_N}: int64 pair keys would overflow")
+    _, _, m_pairs = distance_classes(n)
+    counts = rng.binomial(m_pairs, class_edge_probs(params))
+    offsets = _class_offsets(m_pairs)
+    keys = _select_class_members(rng, m_pairs, counts, offsets)
+    j = np.searchsorted(offsets, keys, side="right") - 1
+    u = keys - offsets[j]
+    v = (u + j + 1) % n
+    return j, u, v
+
+
 def sample_fast(params: ModelParams, replicate: int = 0) -> Graph:
     """Distance-class sampler; same law as sample_naive, O(n + |E|) work."""
     n = params.n
     rng = stream(params.seed, "sample:fast", params.kernel.spec_string(), n, float(params.c), replicate)
-    _, _, m_pairs = distance_classes(n)
-    p = class_edge_probs(params)
-    counts = rng.binomial(m_pairs, p)
-    offsets = _class_offsets(m_pairs)
-    keys = _select_class_members(rng, m_pairs, counts, offsets)
-    return Graph(n, _keys_to_edges(keys, n, offsets), _validated=True)
+    _, u, v = _sample_members(rng, params)
+    return Graph(n, canonical_edges(n, u, v), _validated=True)
 
 
 def sample_filtration(
@@ -332,29 +359,16 @@ def sample_filtration(
         raise ValueError(f"need c_max > 0, got {c_max}")
     params = ModelParams(n=n, c=c_max, kernel=kernel, seed=seed)
     rng = stream(seed, "filtration", kernel.spec_string(), n, float(c_max), replicate)
-    _, _, m_pairs = distance_classes(n)
-    p = class_edge_probs(params)
-    counts = rng.binomial(m_pairs, p)
-    offsets = _class_offsets(m_pairs)
-    keys = _select_class_members(rng, m_pairs, counts, offsets)
-    keys.sort()
-
-    j = np.searchsorted(offsets, keys, side="right") - 1
-    u = keys - offsets[j]
-    d = j + 1
-    v = (u + d) % n
+    j, u, v = _sample_members(rng, params)
 
     h = normalizer(n, kernel).value
-    f_vals = kernel.values(n)[j]
-    cap = np.minimum(c_max, h / f_vals)
+    cap = np.minimum(c_max, h / kernel.values(n)[j])
     # 1 - U is uniform on (0, 1], keeping activations strictly positive.
-    activation = (1.0 - rng.random(keys.shape[0])) * cap
+    activation = (1.0 - rng.random(j.shape[0])) * cap
 
-    lo = np.minimum(u, v)
-    hi = np.maximum(u, v)
-    order = np.argsort(lo * np.int64(n) + hi, kind="stable")
-    edges = np.column_stack([lo[order], hi[order]])
-    return Filtration(n, c_max, kernel, edges, activation[order])
+    keys = _pair_keys(n, u, v)
+    order = np.argsort(keys)
+    return Filtration(n, c_max, kernel, _keys_to_rows(n, keys[order]), activation[order])
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +382,8 @@ def _format_header(n: int, alpha, c: float, seed: int) -> str:
     return f"{_HEADER_MAGIC} n={n} alpha={alpha} c={repr(float(c))} seed={seed}"
 
 
-def _atomic_write(path: str | Path, write_body) -> None:
-    """Write via a temp file in the destination directory, then rename."""
+def atomic_write(path: str | Path, write_body) -> None:
+    """Call write_body(fh) on a temp file in the destination directory, then rename."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
     try:
@@ -382,16 +396,27 @@ def _atomic_write(path: str | Path, write_body) -> None:
         raise
 
 
+# Rows formatted per write; bounds the text buffer at a few MB.
+_WRITE_CHUNK_ROWS = 1 << 16
+
+
+def _write_rows(fh, row_format: str, columns: list[np.ndarray]) -> None:
+    """Write row_format once per row, one % over each chunk of rows."""
+    m = columns[0].shape[0]
+    for start in range(0, m, _WRITE_CHUNK_ROWS):
+        chunk = [col[start : start + _WRITE_CHUNK_ROWS].tolist() for col in columns]
+        fh.write(row_format * len(chunk[0]) % tuple(chain.from_iterable(zip(*chunk))))
+
+
 def write_edge_list(path: str | Path, graph: Graph, params: ModelParams) -> None:
     """Write the v1 edge-list format: header line, then sorted "u v" rows."""
 
     def body(fh):
         fh.write(_format_header(graph.n, _kernel_to_alpha_field(params.kernel), params.c, params.seed))
         fh.write("\n")
-        for u, v in graph.edges.tolist():
-            fh.write(f"{u} {v}\n")
+        _write_rows(fh, "%d %d\n", [graph.edges[:, 0], graph.edges[:, 1]])
 
-    _atomic_write(path, body)
+    atomic_write(path, body)
 
 
 def _parse_header(line: str) -> dict:
@@ -457,10 +482,10 @@ def write_filtration(path: str | Path, filtration: Filtration, seed: int) -> Non
     def body(fh):
         fh.write(_format_header(filtration.n, alpha_field, filtration.c_max, seed))
         fh.write("\n")
-        for (u, v), a in zip(filtration.edges.tolist(), filtration.activation.tolist()):
-            fh.write(f"{u} {v} {a:.17g}\n")
+        edges = filtration.edges
+        _write_rows(fh, "%d %d %.17g\n", [edges[:, 0], edges[:, 1], filtration.activation])
 
-    _atomic_write(path, body)
+    atomic_write(path, body)
 
 
 def read_filtration(path: str | Path) -> tuple[Filtration, dict]:

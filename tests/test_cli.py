@@ -201,3 +201,38 @@ class TestErrorPaths:
                      "--out", str(tmp_path / "x.edges")])  # no alpha/kernel
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sample", "--n", "100", "--alpha", "nan", "--c", "2"], "alpha"),
+            (["sample", "--n", "100", "--alpha=-inf", "--c", "2"], "alpha"),
+            (["sample", "--n", "100", "--alpha", "1", "--c", "inf"], "finite"),
+            (["sample", "--n", "100", "--alpha", "1", "--c", "nan"], "finite"),
+            (["sample", "--n", "inf", "--alpha", "1", "--c", "2"], "finite"),
+            (["sample", "--n", "nan", "--alpha", "1", "--c", "2"], "finite"),
+            (["gw-rho", "--c", "nan"], "finite"),
+            (["gw-rho", "--c", "2", "--tol", "nan"], "finite"),
+            (["sprinkle", "--n", "100", "--alpha", "1", "--cprime", "nan", "--delta", "0.5"], "finite"),
+            (["sprinkle", "--n", "100", "--alpha", "1", "--cprime", "1.5", "--delta", "inf"], "finite"),
+            (["sweep", "--alphas", "1,nan", "--cs", "2", "--ns", "100"], "alpha"),
+            (["sweep", "--alphas", "1", "--cs", "0.5,inf", "--ns", "100"], "finite"),
+            (["sweep", "--alphas", "1", "--cs", "2", "--ns", "100,inf"], "finite"),
+            (["probe", "--kernel", "nn", "--cs=-inf", "--ns", "100"], "finite"),
+        ],
+    )
+    def test_non_finite_numbers_exit_2(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "x"
+        if argv[0] != "gw-rho":
+            argv = [*argv, "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_inf_alpha_still_valid(self, tmp_path):
+        out = tmp_path / "s.csv"
+        code = main(["sweep", "--alphas", "inf,Infinity", "--cs", "2", "--ns", "50",
+                     "--reps", "1", "--out", str(out)])
+        assert code == 0

@@ -11,6 +11,7 @@ from alphagraph.model import (
     edge_prob,
     marginal_degree_sum,
 )
+from alphagraph import sampler
 from alphagraph.sampler import (
     Filtration,
     Graph,
@@ -171,6 +172,26 @@ class TestSampleFast:
                     bad += 1
         assert bad <= 0.01 * total
 
+
+class TestPairKeyRange:
+    def test_limit_is_largest_n_with_int64_keys(self):
+        limit = sampler.MAX_PAIR_KEY_N
+        assert limit**2 <= np.iinfo(np.int64).max < (limit + 1) ** 2
+
+    @pytest.mark.parametrize("draw", ["fast", "filtration"])
+    def test_overflowing_n_raises_before_allocating(self, monkeypatch, draw):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("allocated per-class arrays for an overflowing n")
+
+        monkeypatch.setattr(sampler, "distance_classes", must_not_run)
+        monkeypatch.setattr(sampler, "class_edge_probs", must_not_run)
+        n = sampler.MAX_PAIR_KEY_N + 1
+        params = ModelParams.make(n, 1.0, 2.0, seed=1)
+        with pytest.raises(ValueError, match="int64 pair keys would overflow"):
+            if draw == "fast":
+                sample_fast(params)
+            else:
+                sample_filtration(n, params.kernel, 2.0, seed=1)
 
 class TestFiltration:
     def test_type_validation(self):
