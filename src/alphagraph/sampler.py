@@ -62,6 +62,7 @@ class Graph:
         edges = np.ascontiguousarray(edges, dtype=np.int64).reshape(-1, 2)
         if not _validated:
             if edges.size:
+                _check_endpoint_range(n, edges)
                 edges = canonical_edges(n, edges[:, 0], edges[:, 1])
             _validate_edges(n, edges)
         edges.setflags(write=False)
@@ -102,11 +103,15 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.num_edges})"
 
 
+def _check_endpoint_range(n: int, edges: np.ndarray) -> None:
+    if edges.min() < 0 or edges.max() >= n:
+        raise ValueError("edge endpoint out of range")
+
+
 def _validate_edges(n: int, edges: np.ndarray) -> None:
     if edges.size == 0:
         return
-    if edges.min() < 0 or edges.max() >= n:
-        raise ValueError("edge endpoint out of range")
+    _check_endpoint_range(n, edges)
     if np.any(edges[:, 0] >= edges[:, 1]):
         raise ValueError("edges must satisfy u < v (no self-loops)")
     keys = edges[:, 0] * np.int64(n) + edges[:, 1]
@@ -125,7 +130,11 @@ def _keys_to_rows(n: int, keys: np.ndarray) -> np.ndarray:
 
 
 def canonical_edges(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Sort endpoints within rows and rows lexicographically."""
+    """Sort endpoints within rows and rows lexicographically.
+
+    Endpoints must lie in [0, n): rows are rebuilt from the keys lo*n + hi,
+    so an out-of-range endpoint would decode to a different pair.
+    """
     keys = _pair_keys(n, u, v)
     keys.sort()
     return _keys_to_rows(n, keys)
@@ -264,7 +273,7 @@ def _select_class_members(
     counts: np.ndarray,
     offsets: np.ndarray,
 ) -> np.ndarray:
-    """Choose counts[j] distinct members of each class, as sorted global pair keys.
+    """Choose counts[j] distinct members of each class, as global pair indices.
 
     Classes are intervals [offsets[j], offsets[j]+m_pairs[j]) of an implicit
     global pair index.  Clamped classes (count == m) are emitted whole;
@@ -273,6 +282,7 @@ def _select_class_members(
     missing members with replacement, merges them into the chosen set by
     one sort, and drops repeats with an adjacent-difference mask, so the
     per-class cost stays proportional to the number of selected pairs.
+    The result is a concatenation of sorted runs, not sorted as a whole.
     """
     nz = np.nonzero(counts)[0]
     parts: list[np.ndarray] = []
@@ -305,25 +315,18 @@ def _select_class_members(
         alive = need > 0
         sparse, need = sparse[alive], need[alive]
     parts.append(chosen)
-
-    # Every part is sorted and the class intervals are disjoint, so a stable
-    # (merging) sort of the concatenation is close to linear.
-    return np.sort(np.concatenate(parts), kind="stable")
+    return np.concatenate(parts)
 
 
 def _class_offsets(m_pairs: np.ndarray) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(m_pairs)]).astype(np.int64)
 
 
-def _sample_members(
-    rng: np.random.Generator, params: ModelParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _sample_indices(rng: np.random.Generator, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Draw the edge set: Binomial counts per distance class, then members.
 
-    Returns (j, u, v) per edge, in increasing global pair-key order: edge
-    (u, v) is the pair (u, (u + d) mod n) of the class j = d - 1, which
-    enumerates its pairs as u = 0..m_d-1 and so covers each unordered pair
-    exactly once.
+    Returns (idx, offsets): the global pair index of each edge, in no
+    particular order, and the class offsets that decode them.
     """
     n = params.n
     if n > MAX_PAIR_KEY_N:
@@ -331,9 +334,18 @@ def _sample_members(
     _, _, m_pairs = distance_classes(n)
     counts = rng.binomial(m_pairs, class_edge_probs(params))
     offsets = _class_offsets(m_pairs)
-    keys = _select_class_members(rng, m_pairs, counts, offsets)
-    j = np.searchsorted(offsets, keys, side="right") - 1
-    u = keys - offsets[j]
+    return _select_class_members(rng, m_pairs, counts, offsets), offsets
+
+
+def _decode_indices(
+    n: int, offsets: np.ndarray, idx: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(j, u, v) per global pair index: edge (u, v) is the pair (u, (u + d) mod n)
+    of the class j = d - 1, which enumerates its pairs as u = 0..m_d-1 and so
+    covers each unordered pair exactly once.
+    """
+    j = np.searchsorted(offsets, idx, side="right") - 1
+    u = idx - offsets[j]
     v = (u + j + 1) % n
     return j, u, v
 
@@ -342,7 +354,8 @@ def sample_fast(params: ModelParams, replicate: int = 0) -> Graph:
     """Distance-class sampler; same law as sample_naive, O(n + |E|) work."""
     n = params.n
     rng = stream(params.seed, "sample:fast", params.kernel.spec_string(), n, float(params.c), replicate)
-    _, u, v = _sample_members(rng, params)
+    idx, offsets = _sample_indices(rng, params)
+    _, u, v = _decode_indices(n, offsets, idx)
     return Graph(n, canonical_edges(n, u, v), _validated=True)
 
 
@@ -359,7 +372,11 @@ def sample_filtration(
         raise ValueError(f"need c_max > 0, got {c_max}")
     params = ModelParams(n=n, c=c_max, kernel=kernel, seed=seed)
     rng = stream(seed, "filtration", kernel.spec_string(), n, float(c_max), replicate)
-    j, u, v = _sample_members(rng, params)
+    idx, offsets = _sample_indices(rng, params)
+    # Activations are drawn in increasing global-index order.  The indices
+    # are a concatenation of sorted runs, so a stable (merging) sort is cheap.
+    idx.sort(kind="stable")
+    j, u, v = _decode_indices(n, offsets, idx)
 
     h = normalizer(n, kernel).value
     cap = np.minimum(c_max, h / kernel.values(n)[j])

@@ -41,8 +41,15 @@ class TestGraphType:
             Graph(4, np.array([[1, 1]]))  # self loop
         with pytest.raises(ValueError):
             Graph(4, np.array([[0, 1], [0, 1]]))  # duplicate
-        with pytest.raises(ValueError):
-            Graph(4, np.array([[0, 4]]))  # out of range
+        with pytest.raises(ValueError, match="out of range"):
+            Graph(4, np.array([[0, 4]]))
+
+    @pytest.mark.parametrize("row", [[0, 6], [6, 0], [-1, 2], [2, -3], [0, 15]])
+    def test_out_of_range_endpoint_is_not_remapped(self, row):
+        # Rows are rebuilt from pair keys lo*n + hi; an unchecked endpoint
+        # outside [0, n) would decode to a different, valid pair.
+        with pytest.raises(ValueError, match="out of range"):
+            Graph(4, np.array([row]))
 
     def test_adjacency_sorted_and_consistent(self):
         g = Graph(5, np.array([[0, 3], [1, 3], [2, 4], [0, 1]]))
@@ -193,6 +200,7 @@ class TestPairKeyRange:
             else:
                 sample_filtration(n, params.kernel, 2.0, seed=1)
 
+
 class TestFiltration:
     def test_type_validation(self):
         with pytest.raises(ValueError):
@@ -301,6 +309,12 @@ class TestEdgeListFiles:
         # 17 significant digits round-trip doubles exactly
         assert np.array_equal(f.activation, f2.activation)
         assert header["c"] == 2.0
+
+    def test_out_of_range_endpoint_rejected(self, tmp_path):
+        path = tmp_path / "big.edges"
+        path.write_text("# alphagraph v1 n=5 alpha=1.0 c=2.0 seed=1\n0 1\n0 7\n")
+        with pytest.raises(ValueError, match="out of range"):
+            read_edge_list(path)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.edges"
