@@ -19,7 +19,6 @@ from .components import (
     ComponentSummary,
     ExplorationResult,
     StopReason,
-    UnionFind,
     b_fraction,
     component_labels,
     components,
@@ -34,7 +33,6 @@ from .experiments import (
     SweepSpec,
     TriangleStats,
     block_connectivity,
-    block_stats,
     conjecture_probe,
     run_sweep,
     sprinkling_experiment,

@@ -48,6 +48,14 @@ def _float_arg(text: str) -> float:
     return value
 
 
+def _nonneg_float_arg(text: str) -> float:
+    """Finite float flag >= 0, for edge densities and density increments."""
+    value = _float_arg(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a number >= 0, got {text!r}")
+    return value
+
+
 def _alpha_arg(text: str) -> float:
     """Exponent flag: a float >= 0, or inf for the nearest-neighbor kernel."""
     value = float(text)
@@ -96,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_arg, required=True)
     p.add_argument("--alpha", type=_alpha_arg)
     p.add_argument("--kernel", type=str, help="kernel spec, e.g. powerlog:alpha=1.0,beta=1.0")
-    p.add_argument("--c", type=_float_arg, required=True)
+    p.add_argument("--c", type=_nonneg_float_arg, required=True)
     p.add_argument("--seed", type=_int_arg, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)
@@ -107,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_components)
 
     p = sub.add_parser("gw-rho", help="Galton-Watson extinction/survival probabilities")
-    p.add_argument("--c", type=_float_arg, required=True)
+    p.add_argument("--c", type=_nonneg_float_arg, required=True)
     p.add_argument("--n", type=_int_arg, help="use the exact finite-n degree law")
     p.add_argument("--alpha", type=_alpha_arg, help="exponent for the finite-n law")
     p.add_argument("--tol", type=_float_arg, default=branching.DEFAULT_TOL)
@@ -115,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="largest-component sweep over an (alpha, c, n) grid")
     p.add_argument("--alphas", type=_list_arg(_alpha_arg), required=True)
-    p.add_argument("--cs", type=_list_arg(_float_arg), required=True)
+    p.add_argument("--cs", type=_list_arg(_nonneg_float_arg), required=True)
     p.add_argument("--ns", type=_list_arg(_int_arg), required=True)
     p.add_argument("--reps", type=_int_arg, default=10)
     p.add_argument("--seed", type=_int_arg, default=0)
@@ -128,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_arg, required=True)
     p.add_argument("--alpha", type=_alpha_arg)
     p.add_argument("--kernel", type=str)
-    p.add_argument("--c", type=_float_arg, required=True)
+    p.add_argument("--c", type=_nonneg_float_arg, required=True)
     p.add_argument("--ms", type=_list_arg(_int_arg), required=True)
     p.add_argument("--reps", type=_int_arg, default=20)
     p.add_argument("--seed", type=_int_arg, default=0)
@@ -143,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_arg, required=True)
     p.add_argument("--alpha", type=_alpha_arg)
     p.add_argument("--kernel", type=str)
-    p.add_argument("--c", type=_float_arg, required=True)
+    p.add_argument("--c", type=_nonneg_float_arg, required=True)
     p.add_argument("--reps", type=_int_arg, default=20)
     p.add_argument("--seed", type=_int_arg, default=0)
     p.add_argument("--out", required=True)
@@ -153,8 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_arg, required=True)
     p.add_argument("--alpha", type=_alpha_arg)
     p.add_argument("--kernel", type=str)
-    p.add_argument("--cprime", type=_float_arg, required=True)
-    p.add_argument("--delta", type=_float_arg, required=True)
+    p.add_argument("--cprime", type=_nonneg_float_arg, required=True)
+    p.add_argument("--delta", type=_nonneg_float_arg, required=True)
     p.add_argument("--omega", default="log4", help='cutoff: integer, "log4", or "loglog"')
     p.add_argument("--reps", type=_int_arg, default=20)
     p.add_argument("--seed", type=_int_arg, default=0)
@@ -164,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("probe", help="fraction trends for an explicit kernel over (c, n)")
     p.add_argument("--kernel", type=str, required=True)
-    p.add_argument("--cs", type=_list_arg(_float_arg), required=True)
+    p.add_argument("--cs", type=_list_arg(_nonneg_float_arg), required=True)
     p.add_argument("--ns", type=_list_arg(_int_arg), required=True)
     p.add_argument("--reps", type=_int_arg, default=10)
     p.add_argument("--seed", type=_int_arg, default=0)

@@ -38,7 +38,6 @@ __all__ = [
     "TriangleStats",
     "triangle_stats",
     "BlockStats",
-    "block_stats",
     "block_connectivity",
     "SprinkleRecord",
     "SprinklingResult",
@@ -421,20 +420,6 @@ def block_connectivity(
             )
         )
     return stats
-
-
-def block_stats(
-    params: ModelParams,
-    m: int,
-    replicates: int,
-    pairs_cap: int = 1000,
-    nonadjacent_distance: int = 2,
-    workers: int | None = None,
-) -> BlockStats:
-    """Block-connection frequencies for a single block size."""
-    return block_connectivity(
-        params, (m,), replicates, pairs_cap, nonadjacent_distance, workers
-    )[0]
 
 
 # ---------------------------------------------------------------------------

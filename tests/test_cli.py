@@ -231,6 +231,29 @@ class TestErrorPaths:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--n", "100", "--alpha", "1", "--c=-1"],
+            ["gw-rho", "--c=-0.5"],
+            ["blocks", "--n", "256", "--alpha", "3", "--c=-1", "--ms", "16"],
+            ["triangles", "--n", "100", "--alpha", "1", "--c=-2"],
+            ["sweep", "--alphas", "1", "--cs=2,-1", "--ns", "100"],
+            ["probe", "--kernel", "nn", "--cs=-1", "--ns", "100"],
+            ["sprinkle", "--n", "100", "--alpha", "1", "--cprime=-1", "--delta", "0.5"],
+            ["sprinkle", "--n", "100", "--alpha", "1", "--cprime", "1.5", "--delta=-0.5"],
+        ],
+    )
+    def test_negative_densities_exit_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "x"
+        if argv[0] != "gw-rho":
+            argv = [*argv, "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert ">= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_inf_alpha_still_valid(self, tmp_path):
         out = tmp_path / "s.csv"
         code = main(["sweep", "--alphas", "inf,Infinity", "--cs", "2", "--ns", "50",

@@ -6,7 +6,6 @@ import pytest
 from alphagraph.branching import rho_limit
 from alphagraph.components import (
     StopReason,
-    UnionFind,
     b_fraction,
     component_labels,
     components,
@@ -25,6 +24,41 @@ def ring_graph(n: int) -> Graph:
 
 def empty_graph(n: int) -> Graph:
     return Graph(n, np.empty((0, 2), dtype=np.int64))
+
+
+def oracle_graphs():
+    """Oracle inputs: tiny naive graphs (at most 3 hooking rounds), sampled
+    graphs at n=1024 and 4099 (up to 4) and a permuted path (7)."""
+    rng = np.random.default_rng(42)
+    for trial in range(100):
+        n = int(rng.integers(2, 64))
+        c = float(rng.uniform(0, 3))
+        yield sample_naive(ModelParams.make(n, 0.0, c, seed=trial), replicate=trial)
+    for n in (1024, 4099):
+        for alpha in (0.0, 1.0, 3.0, math.inf):
+            for c in (0.5, 2.0):
+                yield sample_fast(ModelParams.make(n, alpha, c, seed=7))
+    perm = np.random.default_rng(0).permutation(4099)
+    yield Graph(4099, np.stack([perm[:-1], perm[1:]], axis=1))
+
+
+def bfs_min_and_size(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Per-vertex smallest vertex and size of its component, by BFS."""
+    indptr, nbrs = graph.adjacency()
+    comp_min = np.full(graph.n, -1, dtype=np.int64)
+    comp_size = np.zeros(graph.n, dtype=np.int64)
+    for start in range(graph.n):
+        if comp_min[start] >= 0:
+            continue
+        comp_min[start] = start  # ascending scan: first unseen is the minimum
+        members = [start]
+        for x in members:
+            for y in nbrs[indptr[x] : indptr[x + 1]].tolist():
+                if comp_min[y] < 0:
+                    comp_min[y] = start
+                    members.append(y)
+        comp_size[members] = len(members)
+    return comp_min, comp_size
 
 
 class TestComponents:
@@ -54,38 +88,20 @@ class TestComponents:
         assert s.sizes.sum() == 2000
         assert s.largest >= s.second_largest >= 0
 
-    def test_union_find_equals_bfs_on_random_graphs(self):
-        rng = np.random.default_rng(42)
-        for trial in range(100):
-            n = int(rng.integers(2, 64))
-            c = float(rng.uniform(0, 3))
-            g = sample_naive(ModelParams.make(n, 0.0, c, seed=trial), replicate=trial)
-            a = components(g).sizes.tolist()
-            b = components_bfs(g).sizes.tolist()
-            assert a == b
+    def test_engine_equals_bfs_on_random_graphs(self):
+        for g in oracle_graphs():
+            assert components(g).sizes.tolist() == components_bfs(g).sizes.tolist()
 
     def test_labels_consistent_with_sizes(self):
-        g = sample_fast(ModelParams.make(500, 1.0, 2.0, seed=9))
-        labels, sizes = component_labels(g)
-        # every vertex's labeled size equals its component's size from BFS
-        summary = components_bfs(g)
-        assert sorted(sizes[sizes > 0].tolist(), reverse=True) == summary.sizes.tolist()
-        for u, v in g.edges.tolist()[:200]:
-            assert labels[u] == labels[v]
-
-
-class TestUnionFind:
-    def test_basic_operations(self):
-        uf = UnionFind(5)
-        assert uf.n_sets == 5
-        assert uf.union(0, 1)
-        assert not uf.union(1, 0)
-        assert uf.union(2, 3)
-        assert uf.n_sets == 3
-        assert uf.connected(0, 1)
-        assert not uf.connected(0, 2)
-        uf.union(0, 3)
-        assert uf.connected(1, 2)
+        graphs = [sample_fast(ModelParams.make(500, 1.0, 2.0, seed=9)), *oracle_graphs()]
+        for g in graphs:
+            labels, sizes = component_labels(g)
+            comp_min, comp_size = bfs_min_and_size(g)
+            bfs_sizes = components_bfs(g).sizes.tolist()
+            assert sorted(sizes[sizes > 0].tolist(), reverse=True) == bfs_sizes
+            assert np.array_equal(labels[g.edges[:, 0]], labels[g.edges[:, 1]])
+            assert np.array_equal(labels, comp_min)
+            assert np.array_equal(sizes[labels], comp_size)
 
 
 class TestExplore:

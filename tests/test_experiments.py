@@ -10,7 +10,6 @@ from alphagraph.branching import rho_limit
 from alphagraph.experiments import (
     SweepSpec,
     block_connectivity,
-    block_stats,
     conjecture_probe,
     format_float,
     run_sweep,
@@ -177,15 +176,15 @@ class TestBlocks:
     def test_validation(self):
         params = ModelParams.make(1000, 3.0, 0.9, seed=1)
         with pytest.raises(ValueError):
-            block_stats(params, 300, 2)  # > n/4
+            block_connectivity(params, (300,), 2)  # > n/4
         with pytest.raises(ValueError):
-            block_stats(params, 7, 2)  # does not divide n
+            block_connectivity(params, (7,), 2)  # does not divide n
         with pytest.raises(ValueError):
             block_connectivity(params, (10,), 2, nonadjacent_distance=1)
 
     def test_zero_c_all_zero(self):
         params = ModelParams.make(256, 3.0, 0.0, seed=2)
-        st = block_stats(params, 16, 3)
+        (st,) = block_connectivity(params, (16,), 3)
         assert st.adjacent_connect_freq == 0.0
         assert st.nonadjacent_connect_freq == 0.0
 
@@ -193,7 +192,7 @@ class TestBlocks:
         # alpha=inf, c=2 clamps every nearest-neighbor edge open: adjacent
         # blocks always connect, non-adjacent never do
         params = ModelParams(n=256, c=2.0, kernel=NearestNeighborKernel(), seed=3)
-        st = block_stats(params, 16, 4)
+        (st,) = block_connectivity(params, (16,), 4)
         assert st.adjacent_connect_freq == 1.0
         assert st.nonadjacent_connect_freq == 0.0
         assert st.n_blocks == 16
@@ -201,8 +200,8 @@ class TestBlocks:
     def test_multi_m_shares_replicate_graphs(self):
         params = ModelParams.make(2**12, 3.0, 0.9, seed=4)
         multi = block_connectivity(params, (16, 32), replicates=5)
-        single16 = block_stats(params, 16, replicates=5)
-        single32 = block_stats(params, 32, replicates=5)
+        (single16,) = block_connectivity(params, (16,), replicates=5)
+        (single32,) = block_connectivity(params, (32,), replicates=5)
         assert multi[0] == single16
         assert multi[1] == single32
 
