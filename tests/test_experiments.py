@@ -9,6 +9,7 @@ from scipy.stats import spearmanr
 from alphagraph.branching import rho_limit
 from alphagraph.experiments import (
     SweepSpec,
+    TriangleStats,
     block_connectivity,
     conjecture_probe,
     format_float,
@@ -120,7 +121,69 @@ class TestConjectureProbe:
         assert fr[-1] < 0.01
 
 
+def triangle_stats_sets(graph: Graph) -> TriangleStats:
+    """Set-based reference for triangle_stats: common neighbours edge by
+    edge, then each vertex's second neighbourhood as a union of sets."""
+    n = graph.n
+    indptr, nbrs = graph.adjacency()
+    adj = [set(nbrs[indptr[v] : indptr[v + 1]].tolist()) for v in range(n)]
+    triangle_ends = 0  # counts (triangle, vertex) incidences, = 3 * #triangles
+    for u, v in graph.edges.tolist():
+        triangle_ends += len(adj[u] & adj[v])  # each common w closes one triangle
+    total_triangles = triangle_ends / 3.0  # each triangle found once per edge
+
+    second = 0
+    for v in range(n):
+        direct = adj[v]
+        reach = set()
+        for u in direct:
+            reach |= adj[u]
+        reach.discard(v)
+        second += len(reach - direct)
+
+    return TriangleStats(
+        triangles_per_vertex=3.0 * total_triangles / n,
+        mean_degree=2.0 * graph.num_edges / n,
+        second_neighbors_per_vertex=second / n,
+    )
+
+
+def dense_random_graph(n: int, p: float, seed: int) -> Graph:
+    iu, ju = np.triu_indices(n, k=1)
+    keep = np.random.default_rng(seed).random(iu.size) < p
+    return Graph(n, np.column_stack([iu[keep], ju[keep]]))
+
+
+def triangle_oracle_graphs():
+    """(label, graph) pairs on which triangle_stats must equal the reference."""
+    for n in (2, 3, 17, 64, 300, 4099):
+        for alpha in (0.0, 1.0, 1.5, 3.0, math.inf):
+            for c in (0.5, 2.0, 8.0):
+                params = ModelParams.make(n, alpha, c, seed=MASTER)
+                yield f"sample_fast n={n} alpha={alpha} c={c}", sample_fast(params)
+    for seed, (n, p) in enumerate([(5, 0.5), (20, 0.3), (40, 0.6), (60, 0.9), (90, 0.2)]):
+        yield f"dense n={n} p={p}", dense_random_graph(n, p, seed)
+    yield "K_12", dense_random_graph(12, 1.0, 0)
+    yield "star with 50 leaves", Graph(51, np.column_stack([np.zeros(50, int), np.arange(1, 51)]))
+    yield "empty", Graph(5, np.empty((0, 2), dtype=np.int64))
+    yield "isolated vertices", Graph(10, np.array([[0, 1], [1, 2], [0, 2], [5, 6], [6, 8]]))
+
+
 class TestTriangles:
+    def test_equals_set_reference(self):
+        for label, graph in triangle_oracle_graphs():
+            assert triangle_stats(graph) == triangle_stats_sets(graph), label
+
+    def test_frozen_values_at_n_1e5(self):
+        params = ModelParams.make(10**5, 1.5, 1.2, seed=MASTER)
+        frozen = [
+            TriangleStats(0.02262, 1.19664, 1.2549),
+            TriangleStats(0.02442, 1.19896, 1.2562),
+            TriangleStats(0.02358, 1.18864, 1.2242),
+        ]
+        for rep, expected in enumerate(frozen):
+            assert triangle_stats(sample_fast(params, replicate=rep)) == expected
+
     def test_triangle_graph(self):
         g = Graph(3, np.array([[0, 1], [0, 2], [1, 2]]))
         st = triangle_stats(g)
