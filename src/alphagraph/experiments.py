@@ -287,26 +287,38 @@ class TriangleStats:
 def triangle_stats(graph: Graph) -> TriangleStats:
     """Exact 3-cycle count per vertex plus first/second neighborhood sizes.
 
-    Enumerates common neighbors edge by edge; cost is sum over edges of
-    min(deg u, deg v), fine for the bounded-degree graphs this is used on.
+    Enumerates the ordered 2-paths a - w - b (a != b) from the CSR
+    adjacency in numpy: per centre w they are the deg(w)^2 pairs of its
+    neighbour slots minus the diagonal.  One sort of the keys a*n + b and
+    an adjacent-difference mask give the distinct pairs (a, b) and their
+    multiplicities; one searchsorted against the sorted adjacency keys
+    src*n + dst marks the pairs that are edges.  Each triangle closes six
+    2-paths, and the second neighbours of a are the distinct b that are not
+    neighbours of a.  Time and memory are O(n + |E| + sum_w deg(w)^2).
     """
     n = graph.n
     indptr, nbrs = graph.adjacency()
-    adj = [set(nbrs[indptr[v] : indptr[v + 1]].tolist()) for v in range(n)]
-    triangle_ends = 0  # counts (triangle, vertex) incidences, = 3 * #triangles
-    for u, v in graph.edges.tolist():
-        common = adj[u] & adj[v]
-        triangle_ends += len(common)  # each common w closes one triangle at w
-    total_triangles = triangle_ends / 3.0  # each triangle found once per edge
+    deg = np.diff(indptr)
+    slot_deg = np.repeat(deg, deg)  # degree of the centre owning each slot
+    # slot i pairs with every slot of its centre: a run of slot_deg[i] 2-paths
+    a = np.repeat(nbrs, slot_deg)
+    first_slot = np.repeat(indptr[:-1], deg) - (np.cumsum(slot_deg) - slot_deg)
+    b = nbrs[np.arange(a.size) + np.repeat(first_slot, slot_deg)]
+    open_path = a != b
+    keys = a[open_path] * np.int64(n) + b[open_path]
+    keys.sort()
+    fresh = np.empty(keys.shape, dtype=bool)
+    fresh[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    starts = np.flatnonzero(fresh)
+    pairs = keys[starts]
+    multiplicity = np.diff(starts, append=keys.size)
 
-    second = 0
-    for v in range(n):
-        direct = adj[v]
-        reach = set()
-        for u in direct:
-            reach |= adj[u]
-        reach.discard(v)
-        second += len(reach - direct)
+    edge_keys = np.repeat(np.arange(n, dtype=np.int64), deg) * np.int64(n) + nbrs
+    at = np.minimum(np.searchsorted(edge_keys, pairs), edge_keys.size - 1)
+    is_edge = edge_keys[at] == pairs
+    total_triangles = int(multiplicity[is_edge].sum()) / 6.0
+    second = pairs.size - int(np.count_nonzero(is_edge))
 
     return TriangleStats(
         triangles_per_vertex=3.0 * total_triangles / n,
