@@ -56,6 +56,14 @@ def _nonneg_float_arg(text: str) -> float:
     return value
 
 
+def _pos_int_arg(text: str) -> int:
+    """Integer flag >= 1, for replicate counts."""
+    value = _int_arg(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _alpha_arg(text: str) -> float:
     """Exponent flag: a float >= 0, or inf for the nearest-neighbor kernel."""
     value = float(text)
@@ -125,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphas", type=_list_arg(_alpha_arg), required=True)
     p.add_argument("--cs", type=_list_arg(_nonneg_float_arg), required=True)
     p.add_argument("--ns", type=_list_arg(_int_arg), required=True)
-    p.add_argument("--reps", type=_int_arg, default=10)
+    p.add_argument("--reps", type=_pos_int_arg, default=10)
     p.add_argument("--seed", type=_int_arg, default=0)
     p.add_argument("--omega-rule", default="log4")
     p.add_argument("--workers", type=int, default=None)
@@ -138,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", type=str)
     p.add_argument("--c", type=_nonneg_float_arg, required=True)
     p.add_argument("--ms", type=_list_arg(_int_arg), required=True)
-    p.add_argument("--reps", type=_int_arg, default=20)
+    p.add_argument("--reps", type=_pos_int_arg, default=20)
     p.add_argument("--seed", type=_int_arg, default=0)
     p.add_argument("--pairs-cap", type=_int_arg, default=1000)
     p.add_argument("--block-distance", type=_int_arg, default=2,
@@ -152,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=_alpha_arg)
     p.add_argument("--kernel", type=str)
     p.add_argument("--c", type=_nonneg_float_arg, required=True)
-    p.add_argument("--reps", type=_int_arg, default=20)
+    p.add_argument("--reps", type=_pos_int_arg, default=20)
     p.add_argument("--seed", type=_int_arg, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_triangles)
@@ -164,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cprime", type=_nonneg_float_arg, required=True)
     p.add_argument("--delta", type=_nonneg_float_arg, required=True)
     p.add_argument("--omega", default="log4", help='cutoff: integer, "log4", or "loglog"')
-    p.add_argument("--reps", type=_int_arg, default=20)
+    p.add_argument("--reps", type=_pos_int_arg, default=20)
     p.add_argument("--seed", type=_int_arg, default=0)
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--out", required=True)
@@ -174,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", type=str, required=True)
     p.add_argument("--cs", type=_list_arg(_nonneg_float_arg), required=True)
     p.add_argument("--ns", type=_list_arg(_int_arg), required=True)
-    p.add_argument("--reps", type=_int_arg, default=10)
+    p.add_argument("--reps", type=_pos_int_arg, default=10)
     p.add_argument("--seed", type=_int_arg, default=0)
     p.add_argument("--omega-rule", default="log4")
     p.add_argument("--workers", type=int, default=None)

@@ -7,6 +7,7 @@ import pytest
 
 from alphagraph.cli import main
 from alphagraph.components import components
+from alphagraph.experiments import format_float, triangle_stats
 from alphagraph.model import ModelParams
 from alphagraph.sampler import read_edge_list, sample_fast
 
@@ -149,8 +150,19 @@ class TestOtherCommands:
         assert code == 0
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
-        assert len(rows) == 3
-        assert all(float(r["triangles_per_vertex"]) >= 0 for r in rows)
+        params = ModelParams.make(500, 1.5, 1.2, seed=6)
+        expected = []
+        for rep in range(3):
+            st = triangle_stats(sample_fast(params, replicate=rep))
+            expected.append(
+                {
+                    "replicate": str(rep),
+                    "triangles_per_vertex": format_float(st.triangles_per_vertex),
+                    "mean_degree": format_float(st.mean_degree),
+                    "second_neighbors_per_vertex": format_float(st.second_neighbors_per_vertex),
+                }
+            )
+        assert rows == expected
 
     def test_sprinkle(self, tmp_path):
         out = tmp_path / "spr.csv"
@@ -253,6 +265,27 @@ class TestErrorPaths:
         assert exc.value.code == 2
         assert ">= 0" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["triangles", "--n", "100", "--alpha", "1", "--c", "1", "--reps", "0"],
+            ["triangles", "--n", "100", "--alpha", "1", "--c", "1", "--reps=-3"],
+            ["sweep", "--alphas", "1", "--cs", "2", "--ns", "100", "--reps", "0"],
+            ["probe", "--kernel", "nn", "--cs", "2", "--ns", "100", "--reps", "0"],
+            ["sprinkle", "--n", "100", "--alpha", "1", "--cprime", "1.5", "--delta", "0.5",
+             "--reps", "0"],
+            ["blocks", "--n", "256", "--alpha", "3", "--c", "1", "--ms", "16", "--reps", "0"],
+        ],
+    )
+    def test_nonpositive_reps_exit_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out)])
+        assert exc.value.code == 2
+        assert ">= 1" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "x.json").exists()
 
     def test_inf_alpha_still_valid(self, tmp_path):
         out = tmp_path / "s.csv"
