@@ -284,13 +284,32 @@ class TriangleStats:
     second_neighbors_per_vertex: float
 
 
+def _two_path_keys(n: int, indptr: np.ndarray, nbrs: np.ndarray) -> np.ndarray:
+    """Sorted keys a*n + b of the ordered 2-paths a - w - b with a != b.
+
+    Per centre w these are the deg(w)^2 pairs of its neighbour slots minus
+    the diagonal.  The temporaries, several arrays of sum_w deg(w)^2
+    entries, are freed on return.
+    """
+    deg = np.diff(indptr)
+    slot_deg = np.repeat(deg, deg)  # degree of the centre owning each slot
+    # slot i pairs with every slot of its centre w: a run of slot_deg[i]
+    # 2-paths whose k-th entry takes slot indptr[w] + k as its far end
+    a = np.repeat(nbrs, slot_deg)
+    run_start = np.cumsum(slot_deg) - slot_deg
+    shift = np.repeat(indptr[:-1], deg) - run_start
+    b = nbrs[np.arange(a.size) + np.repeat(shift, slot_deg)]
+    keys = (a * np.int64(n) + b)[a != b]
+    keys.sort()
+    return keys
+
+
 def triangle_stats(graph: Graph) -> TriangleStats:
     """Exact 3-cycle count per vertex plus first/second neighborhood sizes.
 
     Enumerates the ordered 2-paths a - w - b (a != b) from the CSR
-    adjacency in numpy: per centre w they are the deg(w)^2 pairs of its
-    neighbour slots minus the diagonal.  One sort of the keys a*n + b and
-    an adjacent-difference mask give the distinct pairs (a, b) and their
+    adjacency in numpy.  One sort of their keys a*n + b and an
+    adjacent-difference mask give the distinct pairs (a, b) and their
     multiplicities; one searchsorted against the sorted adjacency keys
     src*n + dst marks the pairs that are edges.  Each triangle closes six
     2-paths, and the second neighbours of a are the distinct b that are not
@@ -298,23 +317,14 @@ def triangle_stats(graph: Graph) -> TriangleStats:
     """
     n = graph.n
     indptr, nbrs = graph.adjacency()
-    deg = np.diff(indptr)
-    slot_deg = np.repeat(deg, deg)  # degree of the centre owning each slot
-    # slot i pairs with every slot of its centre: a run of slot_deg[i] 2-paths
-    a = np.repeat(nbrs, slot_deg)
-    first_slot = np.repeat(indptr[:-1], deg) - (np.cumsum(slot_deg) - slot_deg)
-    b = nbrs[np.arange(a.size) + np.repeat(first_slot, slot_deg)]
-    open_path = a != b
-    keys = a[open_path] * np.int64(n) + b[open_path]
-    keys.sort()
+    keys = _two_path_keys(n, indptr, nbrs)
     fresh = np.empty(keys.shape, dtype=bool)
     fresh[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
-    starts = np.flatnonzero(fresh)
-    pairs = keys[starts]
-    multiplicity = np.diff(starts, append=keys.size)
+    pairs = keys[fresh]
+    multiplicity = np.diff(np.flatnonzero(fresh), append=keys.size)
 
-    edge_keys = np.repeat(np.arange(n, dtype=np.int64), deg) * np.int64(n) + nbrs
+    edge_keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr)) * np.int64(n) + nbrs
     at = np.minimum(np.searchsorted(edge_keys, pairs), edge_keys.size - 1)
     is_edge = edge_keys[at] == pairs
     total_triangles = int(multiplicity[is_edge].sum()) / 6.0
