@@ -57,7 +57,7 @@ def _nonneg_float_arg(text: str) -> float:
 
 
 def _pos_int_arg(text: str) -> int:
-    """Integer flag >= 1, for replicate counts."""
+    """Integer flag >= 1, for replicate and worker counts."""
     value = _int_arg(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
@@ -136,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=_pos_int_arg, default=10)
     p.add_argument("--seed", type=_int_arg, default=0)
     p.add_argument("--omega-rule", default="log4")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=_pos_int_arg, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 
@@ -151,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs-cap", type=_int_arg, default=1000)
     p.add_argument("--block-distance", type=_int_arg, default=2,
                    help="circular block distance probed for non-adjacent pairs")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=_pos_int_arg, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_blocks)
 
@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", default="log4", help='cutoff: integer, "log4", or "loglog"')
     p.add_argument("--reps", type=_pos_int_arg, default=20)
     p.add_argument("--seed", type=_int_arg, default=0)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=_pos_int_arg, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sprinkle)
 
@@ -185,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=_pos_int_arg, default=10)
     p.add_argument("--seed", type=_int_arg, default=0)
     p.add_argument("--omega-rule", default="log4")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=_pos_int_arg, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_probe)
 

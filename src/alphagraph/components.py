@@ -64,19 +64,18 @@ class ComponentSummary:
         return int(big.sum())
 
 
-def component_labels(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Per-vertex component labels plus per-label sizes.
+def _label_edges(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Component label of each of n vertices joined by the edges (u[i], v[i]).
 
-    Each label is the smallest vertex id in its component, so labels are
-    deterministic; sizes[labels] gives each vertex's component size.
+    Each label is the smallest vertex id in its component.  Edges need no
+    order and may repeat.
     """
-    label = np.arange(graph.n, dtype=np.int64)
-    u, v = graph.edges[:, 0], graph.edges[:, 1]
+    label = np.arange(n, dtype=np.int64)
     while True:
         lu, lv = label[u], label[v]
         live = lu != lv
         if not live.any():
-            break
+            return label
         # Labels are roots here (label[r] == r), so hooking each larger root
         # onto its smallest neighbouring root merges whole trees at once.
         u, v, lu, lv = u[live], v[live], lu[live], lv[live]
@@ -86,6 +85,17 @@ def component_labels(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
             if np.array_equal(hop, label):
                 break
             label = hop
+
+
+def component_labels(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Per-vertex component labels plus per-label sizes.
+
+    Each label is the smallest vertex id in its component, so labels are
+    deterministic; sizes[labels] gives each vertex's component size.  This
+    wraps the package's one component engine, ``_label_edges``, which the
+    sweep also runs on the disjoint union of a batch of replicate graphs.
+    """
+    label = _label_edges(graph.n, graph.edges[:, 0], graph.edges[:, 1])
     return label, np.bincount(label, minlength=graph.n)
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .branching import rho_limit
-from .components import component_labels, components, omega_for
+from .components import _label_edges, component_labels, omega_for
 from .model import (
     Kernel,
     ModelParams,
@@ -26,7 +26,16 @@ from .model import (
     PowerLawKernel,
     kernel_for_alpha,
 )
-from .sampler import Graph, atomic_write, sample_fast, sample_filtration, subgraph_at
+from .sampler import (
+    Graph,
+    _decode_indices,
+    _fast_stream,
+    _sample_indices,
+    atomic_write,
+    sample_fast,
+    sample_filtration,
+    subgraph_at,
+)
 from .streams import stream
 
 __all__ = [
@@ -54,9 +63,16 @@ def format_float(x: float) -> str:
 
 
 def resolve_workers(workers: int | None) -> int:
+    """Worker count: ALPHAGRAPH_WORKERS if set, else workers, else the CPU count."""
     env = os.environ.get("ALPHAGRAPH_WORKERS")
     if env:
-        return max(1, int(env))
+        try:
+            value = int(env)
+        except ValueError:
+            value = 0
+        if value < 1:
+            raise ValueError(f"ALPHAGRAPH_WORKERS needs an integer >= 1, got {env!r}")
+        return value
     if workers is None:
         return os.cpu_count() or 1
     return max(1, workers)
@@ -130,21 +146,58 @@ class SweepResult:
         return hits[0]
 
 
-def _replicate_task(args) -> tuple:
-    """Sample one replicate and reduce it to component statistics."""
-    kernel, n, c, seed, rep, omega = args
+# Vertices one sweep job labels at most (one replicate if n is larger), which
+# bounds a job's memory; n=1e6 stays at one replicate per job.
+_BATCH_VERTICES = 1 << 20
+# A multi-worker sweep is cut into about this many jobs per worker or more,
+# so that a one-cell sweep still spreads over every worker.
+_JOBS_PER_WORKER = 8
+
+
+def _replicate_batch_task(args) -> tuple:
+    """Sample replicates [start, stop) of one cell; reduce each to component statistics.
+
+    Replicate start + i is drawn on its own sample_fast stream, and its
+    vertices are shifted by i*n, so the batch is one disjoint union that a
+    single labelling pass splits into components.  Labels are component
+    minima, so replicate i's labels stay in row i of the (r, n) size table.
+    Returns per-replicate largest, second-largest and b_count arrays, or the
+    first error raised.
+    """
+    kernel, n, c, seed, start, stop, omega = args
     try:
         params = ModelParams(n=n, c=c, kernel=kernel, seed=seed)
-        graph = sample_fast(params, replicate=rep)
-        summary = components(graph)
-        return (
-            "ok",
-            summary.largest,
-            summary.second_largest,
-            summary.b_count(omega),
-        )
+        r = stop - start
+        draws = [_sample_indices(_fast_stream(params, rep), params) for rep in range(start, stop)]
+        offsets = draws[0][1]
+        _, u, v = _decode_indices(n, offsets, np.concatenate([idx for idx, _ in draws]))
+        shift = np.repeat(np.arange(r, dtype=np.int64) * n, [idx.size for idx, _ in draws])
+        u += shift
+        v += shift
+        sizes = np.bincount(_label_edges(r * n, u, v), minlength=r * n).reshape(r, n)
+        b_count = np.where(sizes >= omega, sizes, 0).sum(axis=1)
+        top = np.partition(sizes, n - 2, axis=1)
+        return ("ok", top[:, n - 1], top[:, n - 2], b_count)
     except Exception as exc:  # noqa: BLE001 - cell failures are recorded, not fatal
         return ("err", f"{type(exc).__name__}: {exc}")
+
+
+def _replicate_batches(ns: list[int], replicates: int, workers: int) -> list[tuple[int, int, int]]:
+    """(cell, start, stop) per job: consecutive replicates of one cell.
+
+    A job holds at most _BATCH_VERTICES vertices (at least one replicate);
+    with several workers, also at most 1/(_JOBS_PER_WORKER * workers) of
+    the whole sweep.
+    """
+    budget = _BATCH_VERTICES
+    if workers > 1:
+        total = replicates * sum(max(n, 1) for n in ns)
+        budget = min(budget, -(-total // (_JOBS_PER_WORKER * workers)))
+    batches = []
+    for cell, n in enumerate(ns):
+        step = max(1, budget // max(n, 1))
+        batches.extend((cell, s, min(s + step, replicates)) for s in range(0, replicates, step))
+    return batches
 
 
 def _run_cells(
@@ -155,21 +208,29 @@ def _run_cells(
     workers: int | None,
     predict: str = "alpha<=1",
 ) -> list[CellResult]:
+    """Sample every replicate of every cell, in batches, and summarize each cell.
+
+    Each job is a batch of consecutive replicates of one cell (see
+    _replicate_batches): it samples them on their own streams, labels their
+    disjoint union in one pass, and returns per-replicate statistics.  The
+    statistics are gathered back in replicate order, so results do not
+    depend on the worker count or on the batching.  A cell whose batch
+    fails records the first error and NaN statistics; other cells go on.
+    """
     workers = resolve_workers(workers)
-    jobs = []
-    omegas = []
-    for kernel, _alpha, c, n in cells:
-        omega = omega_for(omega_rule, n)
-        omegas.append(omega)
-        for rep in range(replicates):
-            jobs.append((kernel, n, c, master_seed, rep, omega))
-    outputs = _map_jobs(_replicate_task, jobs, workers)
+    omegas = [omega_for(omega_rule, n) for _kernel, _alpha, _c, n in cells]
+    batches = _replicate_batches([n for *_, n in cells], replicates, workers)
+    jobs = [
+        (cells[cell][0], cells[cell][3], cells[cell][2], master_seed, start, stop, omegas[cell])
+        for cell, start, stop in batches
+    ]
+    outputs = _map_jobs(_replicate_batch_task, jobs, workers)
+    per_cell: list[list[tuple]] = [[] for _ in cells]
+    for (cell, _start, _stop), out in zip(batches, outputs):
+        per_cell[cell].append(out)
 
     results: list[CellResult] = []
-    pos = 0
-    for (kernel, alpha, c, n), omega in zip(cells, omegas):
-        outs = outputs[pos : pos + replicates]
-        pos += replicates
+    for (kernel, alpha, c, n), omega, outs in zip(cells, omegas, per_cell):
         errors = [o[1] for o in outs if o[0] == "err"]
         predicted = None
         if predict == "always" or (predict == "alpha<=1" and alpha is not None and alpha <= 1):
@@ -197,9 +258,9 @@ def _run_cells(
                 )
             )
             continue
-        fr = np.array([o[1] for o in outs], dtype=np.float64) / n
-        second = np.array([o[2] for o in outs], dtype=np.float64) / n
-        bfr = np.array([o[3] for o in outs], dtype=np.float64) / n
+        fr, second, bfr = (
+            np.concatenate([o[k] for o in outs]).astype(np.float64) / n for k in (1, 2, 3)
+        )
         results.append(
             CellResult(
                 **base,

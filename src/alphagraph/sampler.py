@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+from functools import lru_cache
 from itertools import chain
 from pathlib import Path
 
@@ -197,23 +198,24 @@ def subgraph_at(filtration: Filtration, c: float) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def _pair_probs(params: ModelParams) -> np.ndarray:
-    """Edge probability for every pair (u, v), u < v, in canonical order."""
-    n = params.n
-    p_class = class_edge_probs(params)
-    rows = []
-    for u in range(n - 1):
-        v = np.arange(u + 1, n)
-        a = v - u
-        d = np.minimum(a, n - a)
-        rows.append(p_class[d - 1])
-    return np.concatenate(rows)
-
-
+@lru_cache(maxsize=4)
 def _pair_index_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints (u, v), u < v, of every pair in canonical order; read-only."""
     u = np.repeat(np.arange(n - 1), np.arange(n - 1, 0, -1))
     v = np.concatenate([np.arange(s + 1, n) for s in range(n - 1)])
+    u.setflags(write=False)
+    v.setflags(write=False)
     return u, v
+
+
+@lru_cache(maxsize=16)
+def _pair_probs(n: int, c: float, kernel: Kernel) -> np.ndarray:
+    """Edge probability of every pair (u, v), u < v, in canonical order; read-only."""
+    u, v = _pair_index_arrays(n)
+    a = v - u
+    probs = _class_tables(n, c, kernel)[1][np.minimum(a, n - a) - 1]
+    probs.setflags(write=False)
+    return probs
 
 
 def sample_naive(params: ModelParams, replicate: int = 0, max_n: int = NAIVE_GUARD_N) -> Graph:
@@ -224,11 +226,11 @@ def sample_naive(params: ModelParams, replicate: int = 0, max_n: int = NAIVE_GUA
     rng = stream(params.seed, "sample:naive", params.kernel.spec_string(), n, float(params.c), replicate)
     if n <= 2048:
         # Small-n fast path: one vectorized draw over all pairs.
-        probs = _cached_pair_probs(params)
+        probs = _pair_probs(n, params.c, params.kernel)
         hit = rng.random(probs.shape[0]) < probs
-        u, v = _cached_pair_indices(n)
+        u, v = _pair_index_arrays(n)
         return Graph(n, np.column_stack([u[hit], v[hit]]), _validated=True)
-    p_class = class_edge_probs(params)
+    p_class = _class_tables(n, params.c, params.kernel)[1]
     us, vs = [], []
     for u in range(n - 1):
         v = np.arange(u + 1, n)
@@ -243,28 +245,6 @@ def sample_naive(params: ModelParams, replicate: int = 0, max_n: int = NAIVE_GUA
         return Graph(n, np.empty((0, 2), dtype=np.int64), _validated=True)
     edges = np.column_stack([np.concatenate(us), np.concatenate(vs)])
     return Graph(n, edges, _validated=True)
-
-
-# Per-pair probability/index caches for the small-n Monte Carlo path.
-_PAIR_PROB_CACHE: dict[tuple, np.ndarray] = {}
-_PAIR_INDEX_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _cached_pair_probs(params: ModelParams) -> np.ndarray:
-    key = (params.n, float(params.c), params.kernel.spec_string())
-    if key not in _PAIR_PROB_CACHE:
-        if len(_PAIR_PROB_CACHE) > 64:
-            _PAIR_PROB_CACHE.clear()
-        _PAIR_PROB_CACHE[key] = _pair_probs(params)
-    return _PAIR_PROB_CACHE[key]
-
-
-def _cached_pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _PAIR_INDEX_CACHE:
-        if len(_PAIR_INDEX_CACHE) > 16:
-            _PAIR_INDEX_CACHE.clear()
-        _PAIR_INDEX_CACHE[n] = _pair_index_arrays(n)
-    return _PAIR_INDEX_CACHE[n]
 
 
 def _select_class_members(
@@ -318,8 +298,21 @@ def _select_class_members(
     return np.concatenate(parts)
 
 
-def _class_offsets(m_pairs: np.ndarray) -> np.ndarray:
-    return np.concatenate([[0], np.cumsum(m_pairs)]).astype(np.int64)
+@lru_cache(maxsize=16)
+def _class_tables(n: int, c: float, kernel: Kernel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only per-(n, c, kernel) class tables (m_pairs, probs, offsets).
+
+    m_pairs[j] and probs[j] are the pair count and edge probability of the
+    distance class d = j + 1; class j holds the global pair indices
+    [offsets[j], offsets[j + 1]).  An entry takes 24 bytes per class, about
+    12 MB at n=1e6, hence the small cache.
+    """
+    _, _, m_pairs = distance_classes(n)
+    probs = class_edge_probs(ModelParams(n=n, c=c, kernel=kernel))
+    offsets = np.concatenate([[0], np.cumsum(m_pairs)]).astype(np.int64)
+    for table in (m_pairs, probs, offsets):
+        table.setflags(write=False)
+    return m_pairs, probs, offsets
 
 
 def _sample_indices(rng: np.random.Generator, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -331,9 +324,8 @@ def _sample_indices(rng: np.random.Generator, params: ModelParams) -> tuple[np.n
     n = params.n
     if n > MAX_PAIR_KEY_N:
         raise ValueError(f"n={n} exceeds {MAX_PAIR_KEY_N}: int64 pair keys would overflow")
-    _, _, m_pairs = distance_classes(n)
-    counts = rng.binomial(m_pairs, class_edge_probs(params))
-    offsets = _class_offsets(m_pairs)
+    m_pairs, probs, offsets = _class_tables(n, params.c, params.kernel)
+    counts = rng.binomial(m_pairs, probs)
     return _select_class_members(rng, m_pairs, counts, offsets), offsets
 
 
@@ -350,11 +342,17 @@ def _decode_indices(
     return j, u, v
 
 
+def _fast_stream(params: ModelParams, replicate: int) -> np.random.Generator:
+    """The stream that sample_fast draws replicate ``replicate`` from."""
+    return stream(
+        params.seed, "sample:fast", params.kernel.spec_string(), params.n, float(params.c), replicate
+    )
+
+
 def sample_fast(params: ModelParams, replicate: int = 0) -> Graph:
     """Distance-class sampler; same law as sample_naive, O(n + |E|) work."""
     n = params.n
-    rng = stream(params.seed, "sample:fast", params.kernel.spec_string(), n, float(params.c), replicate)
-    idx, offsets = _sample_indices(rng, params)
+    idx, offsets = _sample_indices(_fast_stream(params, replicate), params)
     _, u, v = _decode_indices(n, offsets, idx)
     return Graph(n, canonical_edges(n, u, v), _validated=True)
 

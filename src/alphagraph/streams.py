@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,13 +21,19 @@ __all__ = ["key_words", "stream"]
 _MASK32 = 0xFFFFFFFF
 
 
+@lru_cache(maxsize=1024)
+def _string_value(part: str) -> int:
+    """64-bit blake2s value of a string key part (kernel specs recur per call)."""
+    digest = hashlib.blake2s(part.encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "little")
+
+
 def key_words(*parts: object) -> tuple[int, ...]:
     """Fold strings/ints/floats into uint32 words for a SeedSequence spawn key."""
     words: list[int] = []
     for part in parts:
         if isinstance(part, str):
-            digest = hashlib.blake2s(part.encode("utf-8"), digest_size=8).digest()
-            value = int.from_bytes(digest, "little")
+            value = _string_value(part)
         elif isinstance(part, (bool, np.bool_)):
             raise TypeError("bool is not a valid stream key part")
         elif isinstance(part, (int, np.integer)):

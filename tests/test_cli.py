@@ -287,6 +287,36 @@ class TestErrorPaths:
         assert not out.exists()
         assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-4", "abc", "1.5"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--alphas", "1", "--cs", "2", "--ns", "100"],
+            ["probe", "--kernel", "nn", "--cs", "2", "--ns", "100"],
+            ["sprinkle", "--n", "100", "--alpha", "1", "--cprime", "1.5", "--delta", "0.5"],
+            ["blocks", "--n", "256", "--alpha", "3", "--c", "1", "--ms", "16"],
+        ],
+    )
+    def test_bad_workers_exit_2(self, tmp_path, capsys, argv, workers):
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"--workers={workers}", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("env", ["0", "-2", "abc"])
+    def test_bad_workers_env_is_named(self, tmp_path, capsys, monkeypatch, env):
+        monkeypatch.setenv("ALPHAGRAPH_WORKERS", env)
+        out = tmp_path / "x"
+        code = main(["sweep", "--alphas", "1", "--cs", "2", "--ns", "100", "--reps", "1",
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "ALPHAGRAPH_WORKERS" in err and ">= 1" in err
+        assert not out.exists()
+
     def test_inf_alpha_still_valid(self, tmp_path):
         out = tmp_path / "s.csv"
         code = main(["sweep", "--alphas", "inf,Infinity", "--cs", "2", "--ns", "50",

@@ -8,8 +8,10 @@ with the worker count or with how replicates are grouped into jobs.  Never
 regenerate them to make a change pass; a change that alters bits on purpose
 must say so and justify it.
 
-The oracle test recomputes every ``CellResult`` from ``sample_fast`` and
+The oracle tests recompute every ``CellResult`` from ``sample_fast`` and
 ``components`` one replicate at a time, with the reductions the sweep uses.
+They run with the default batch budget and with one so small that batch
+boundaries fall inside cells.
 """
 
 import hashlib
@@ -19,6 +21,7 @@ import numpy as np
 import pytest
 
 from alphagraph.branching import rho_limit
+from alphagraph import experiments
 from alphagraph.cli import main
 from alphagraph.components import components, omega_for
 from alphagraph.experiments import CellResult, SweepSpec, conjecture_probe, run_sweep
@@ -86,8 +89,16 @@ ORACLE_NS = (2, 3, 64, 300)
 ORACLE_REPS = 7
 
 
+@pytest.fixture
+def batch_budget(request, monkeypatch):
+    """Batch vertex budget; 150 splits n=64 cells 2+2+2+1 and runs n=300 one by one."""
+    if request.param is not None:
+        monkeypatch.setattr(experiments, "_BATCH_VERTICES", request.param)
+
+
+@pytest.mark.parametrize("batch_budget", [None, 150], indirect=True)
 @pytest.mark.parametrize("workers", [1, 2])
-def test_sweep_cells_equal_per_replicate_reference(workers):
+def test_sweep_cells_equal_per_replicate_reference(workers, batch_budget):
     spec = SweepSpec(alphas=ORACLE_ALPHAS, cs=ORACLE_CS, ns=ORACLE_NS,
                      replicates=ORACLE_REPS, omega_rule="8", master_seed=SEED)
     result = run_sweep(spec, workers=workers)
@@ -101,8 +112,9 @@ def test_sweep_cells_equal_per_replicate_reference(workers):
     assert result.cells == expected
 
 
+@pytest.mark.parametrize("batch_budget", [None, 150], indirect=True)
 @pytest.mark.parametrize("workers", [1, 2])
-def test_probe_cells_equal_per_replicate_reference(workers):
+def test_probe_cells_equal_per_replicate_reference(workers, batch_budget):
     kernel = parse_kernel("powerlog:alpha=1.0,beta=2.0")
     result = conjecture_probe(kernel, ns=ORACLE_NS, cs=ORACLE_CS, replicates=ORACLE_REPS,
                               master_seed=SEED, workers=workers)
