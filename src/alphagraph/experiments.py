@@ -146,58 +146,73 @@ class SweepResult:
         return hits[0]
 
 
-# Vertices one sweep job labels at most (one replicate if n is larger), which
-# bounds a job's memory; n=1e6 stays at one replicate per job.
-_BATCH_VERTICES = 1 << 20
+# Vertices labelled in one pass (one replicate if n is larger).  It bounds
+# the memory of a pass and keeps its arrays cache-sized: on a 2-core Xeon
+# with 2 MiB of L2 per core, the decode-and-label work per replicate at
+# n=1024 cost 115-140 us at 2^14 vertices and ~230 us at 2^18 or more.
+# n=1e6 is one replicate per pass.
+_BATCH_VERTICES = 1 << 14
 # A multi-worker sweep is cut into about this many jobs per worker or more,
 # so that a one-cell sweep still spreads over every worker.
 _JOBS_PER_WORKER = 8
 
 
-def _replicate_batch_task(args) -> tuple:
-    """Sample replicates [start, stop) of one cell; reduce each to component statistics.
+def _batch_stats(
+    params: ModelParams, start: int, stop: int, omega: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Largest, second-largest and b_count of each replicate in [start, stop).
 
     Replicate start + i is drawn on its own sample_fast stream, and its
     vertices are shifted by i*n, so the batch is one disjoint union that a
     single labelling pass splits into components.  Labels are component
     minima, so replicate i's labels stay in row i of the (r, n) size table.
-    Returns per-replicate largest, second-largest and b_count arrays, or the
-    first error raised.
     """
-    kernel, n, c, seed, start, stop, omega = args
+    n = params.n
+    r = stop - start
+    draws = [_sample_indices(_fast_stream(params, rep), params) for rep in range(start, stop)]
+    offsets = draws[0][1]
+    _, u, v = _decode_indices(n, offsets, np.concatenate([idx for idx, _ in draws]))
+    shift = np.repeat(np.arange(r, dtype=np.int64) * n, [idx.size for idx, _ in draws])
+    u += shift
+    v += shift
+    sizes = np.bincount(_label_edges(r * n, u, v), minlength=r * n).reshape(r, n)
+    b_count = np.where(sizes >= omega, sizes, 0).sum(axis=1)
+    top = np.partition(sizes, n - 2, axis=1)
+    return top[:, n - 1], top[:, n - 2], b_count
+
+
+def _replicate_job(args) -> tuple:
+    """Replicates [start, stop) of one cell, labelled ``batch`` replicates per pass.
+
+    Returns ("ok", largest, second-largest, b_count) as arrays in replicate
+    order, or ("err", message) for the first error raised.
+    """
+    kernel, n, c, seed, start, stop, batch, omega = args
     try:
         params = ModelParams(n=n, c=c, kernel=kernel, seed=seed)
-        r = stop - start
-        draws = [_sample_indices(_fast_stream(params, rep), params) for rep in range(start, stop)]
-        offsets = draws[0][1]
-        _, u, v = _decode_indices(n, offsets, np.concatenate([idx for idx, _ in draws]))
-        shift = np.repeat(np.arange(r, dtype=np.int64) * n, [idx.size for idx, _ in draws])
-        u += shift
-        v += shift
-        sizes = np.bincount(_label_edges(r * n, u, v), minlength=r * n).reshape(r, n)
-        b_count = np.where(sizes >= omega, sizes, 0).sum(axis=1)
-        top = np.partition(sizes, n - 2, axis=1)
-        return ("ok", top[:, n - 1], top[:, n - 2], b_count)
+        stats = [
+            _batch_stats(params, s, min(s + batch, stop), omega) for s in range(start, stop, batch)
+        ]
+        return ("ok", *(np.concatenate(column) for column in zip(*stats)))
     except Exception as exc:  # noqa: BLE001 - cell failures are recorded, not fatal
         return ("err", f"{type(exc).__name__}: {exc}")
 
 
-def _replicate_batches(ns: list[int], replicates: int, workers: int) -> list[tuple[int, int, int]]:
+def _replicate_jobs(ns: list[int], replicates: int, workers: int) -> list[tuple[int, int, int]]:
     """(cell, start, stop) per job: consecutive replicates of one cell.
 
-    A job holds at most _BATCH_VERTICES vertices (at least one replicate);
-    with several workers, also at most 1/(_JOBS_PER_WORKER * workers) of
-    the whole sweep.
+    One job per cell with one worker.  With several, a job holds at most
+    1/(_JOBS_PER_WORKER * workers) of the sweep's vertices, or one replicate.
     """
-    budget = _BATCH_VERTICES
-    if workers > 1:
-        total = replicates * sum(max(n, 1) for n in ns)
-        budget = min(budget, -(-total // (_JOBS_PER_WORKER * workers)))
-    batches = []
+    if workers <= 1:
+        return [(cell, 0, replicates) for cell in range(len(ns))]
+    total = replicates * sum(max(n, 1) for n in ns)
+    budget = -(-total // (_JOBS_PER_WORKER * workers))
+    jobs = []
     for cell, n in enumerate(ns):
         step = max(1, budget // max(n, 1))
-        batches.extend((cell, s, min(s + step, replicates)) for s in range(0, replicates, step))
-    return batches
+        jobs.extend((cell, s, min(s + step, replicates)) for s in range(0, replicates, step))
+    return jobs
 
 
 def _run_cells(
@@ -210,23 +225,26 @@ def _run_cells(
 ) -> list[CellResult]:
     """Sample every replicate of every cell, in batches, and summarize each cell.
 
-    Each job is a batch of consecutive replicates of one cell (see
-    _replicate_batches): it samples them on their own streams, labels their
-    disjoint union in one pass, and returns per-replicate statistics.  The
-    statistics are gathered back in replicate order, so results do not
-    depend on the worker count or on the batching.  A cell whose batch
-    fails records the first error and NaN statistics; other cells go on.
+    Each job is a run of consecutive replicates of one cell (see
+    _replicate_jobs).  It works through them in batches of at most
+    _BATCH_VERTICES vertices: each replicate is drawn on its own stream,
+    and one labelling pass over the batch's disjoint union gives every
+    replicate's statistics (see _batch_stats).  The statistics are gathered
+    back in replicate order, so results depend neither on the worker count
+    nor on the batching.  A cell with a failing job records the first error
+    and NaN statistics; other cells go on.
     """
     workers = resolve_workers(workers)
     omegas = [omega_for(omega_rule, n) for _kernel, _alpha, _c, n in cells]
-    batches = _replicate_batches([n for *_, n in cells], replicates, workers)
-    jobs = [
-        (cells[cell][0], cells[cell][3], cells[cell][2], master_seed, start, stop, omegas[cell])
-        for cell, start, stop in batches
-    ]
-    outputs = _map_jobs(_replicate_batch_task, jobs, workers)
+    spans = _replicate_jobs([n for *_, n in cells], replicates, workers)
+    jobs = []
+    for cell, start, stop in spans:
+        kernel, _alpha, c, n = cells[cell]
+        batch = max(1, _BATCH_VERTICES // max(n, 1))
+        jobs.append((kernel, n, c, master_seed, start, stop, batch, omegas[cell]))
+    outputs = _map_jobs(_replicate_job, jobs, workers)
     per_cell: list[list[tuple]] = [[] for _ in cells]
-    for (cell, _start, _stop), out in zip(batches, outputs):
+    for (cell, _start, _stop), out in zip(spans, outputs):
         per_cell[cell].append(out)
 
     results: list[CellResult] = []

@@ -79,27 +79,29 @@ class TestRunSweep:
         assert cell.mean_b_fraction <= 1.0
 
 
-class TestReplicateBatches:
-    def test_serial_batches_hold_whole_cells(self):
-        assert experiments._replicate_batches([64, 1024], 500, 1) == [(0, 0, 500), (1, 0, 500)]
-
-    def test_budget_splits_cells_mid_way(self, monkeypatch):
-        monkeypatch.setattr(experiments, "_BATCH_VERTICES", 150)
-        batches = experiments._replicate_batches([64, 300], 7, 1)
-        assert batches == [(0, 0, 2), (0, 2, 4), (0, 4, 6), (0, 6, 7)] + [
-            (1, s, s + 1) for s in range(7)
-        ]
+class TestReplicateJobs:
+    def test_one_job_per_cell_with_one_worker(self):
+        assert experiments._replicate_jobs([64, 1024], 500, 1) == [(0, 0, 500), (1, 0, 500)]
 
     def test_one_cell_spreads_over_every_worker(self):
-        batches = experiments._replicate_batches([64], 500, 2)
-        assert len(batches) >= 2 * experiments._JOBS_PER_WORKER
-        bounds = [b for _, start, stop in batches for b in (start, stop)]
+        jobs = experiments._replicate_jobs([64], 500, 2)
+        assert len(jobs) >= 2 * experiments._JOBS_PER_WORKER
+        bounds = [b for _, start, stop in jobs for b in (start, stop)]
         assert bounds[0] == 0 and bounds[-1] == 500
         assert bounds[1:-1:2] == bounds[2::2]  # consecutive, no gaps or overlaps
 
-    def test_large_n_is_one_replicate_per_batch(self):
-        batches = experiments._replicate_batches([10**6, 10**6], 2, 2)
-        assert batches == [(0, 0, 1), (0, 1, 2), (1, 0, 1), (1, 1, 2)]
+    def test_large_n_is_one_replicate_per_job(self):
+        jobs = experiments._replicate_jobs([10**6, 10**6], 2, 2)
+        assert jobs == [(0, 0, 1), (0, 1, 2), (1, 0, 1), (1, 1, 2)]
+
+    def test_batches_split_a_job_mid_cell(self):
+        # batch=2: the job's 7 replicates are labelled in passes of 2+2+2+1
+        params = ModelParams.make(64, 1.0, 2.0, seed=MASTER)
+        whole = experiments._batch_stats(params, 0, 7, omega=8)
+        ok, *parts = experiments._replicate_job((params.kernel, 64, 2.0, MASTER, 0, 7, 2, 8))
+        assert ok == "ok"
+        for got, want in zip(parts, whole):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestGiantUniqueness:

@@ -91,7 +91,8 @@ ORACLE_REPS = 7
 
 @pytest.fixture
 def batch_budget(request, monkeypatch):
-    """Batch vertex budget; 150 splits n=64 cells 2+2+2+1 and runs n=300 one by one."""
+    """Vertices per labelling pass; 150 labels n=64 cells in passes of 2+2+2+1
+    replicates and n=300 cells one replicate at a time."""
     if request.param is not None:
         monkeypatch.setattr(experiments, "_BATCH_VERTICES", request.param)
 
