@@ -17,13 +17,9 @@ from .branching import (
 )
 from .components import (
     ComponentSummary,
-    ExplorationResult,
-    StopReason,
     b_fraction,
     component_labels,
     components,
-    components_bfs,
-    explore,
     omega_for,
 )
 from .experiments import (
@@ -48,6 +44,7 @@ from .model import (
     TabulatedKernel,
     distance_classes,
     edge_prob,
+    kernel_alpha,
     kernel_for_alpha,
     load_tabulated_kernel,
     marginal_degree_sum,

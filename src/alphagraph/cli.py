@@ -18,12 +18,7 @@ from pathlib import Path
 from . import branching, experiments
 from .components import components, omega_for
 from .model import Kernel, ModelParams, kernel_for_alpha, parse_kernel
-from .sampler import (
-    kernel_from_alpha_field,
-    read_edge_list,
-    sample_fast,
-    write_edge_list,
-)
+from .sampler import read_edge_list, sample_fast, write_edge_list
 
 __all__ = ["main"]
 

@@ -1,22 +1,18 @@
-"""Connectivity analysis: components, largest cluster, bounded exploration.
+"""Connectivity analysis: components, largest cluster, the set B.
 
 The full partition is computed by vectorized hook-and-compress rounds
 (Shiloach & Vishkin, J. Algorithms 3:57-67, 1982): every root with an edge
 to a smaller root is hooked onto the smallest such root, then labels are
 compressed by pointer jumping until each points at its root.  Labels end as
-component minima.  An independent BFS implementation is kept as a
-cross-check oracle.  ``explore`` is the breadth-first discovery of one
-vertex's component, halted once a cutoff number of vertices has been seen,
-and ``b_fraction`` measures the set B of vertices living in components of
-size at least omega.
+component minima.  This is the package's one component engine; the tests
+check it against an independent BFS.  ``b_fraction`` measures the set B of
+vertices living in components of size at least omega.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -24,12 +20,8 @@ from .sampler import Graph
 
 __all__ = [
     "ComponentSummary",
-    "ExplorationResult",
-    "StopReason",
     "component_labels",
     "components",
-    "components_bfs",
-    "explore",
     "b_fraction",
     "omega_for",
 ]
@@ -105,70 +97,6 @@ def components(graph: Graph) -> ComponentSummary:
     sizes = sizes[sizes > 0]
     sizes[::-1].sort()
     return ComponentSummary(n=graph.n, sizes=sizes)
-
-
-def components_bfs(graph: Graph) -> ComponentSummary:
-    """Independent BFS implementation; used as a cross-check oracle."""
-    indptr, nbrs = graph.adjacency()
-    seen = np.zeros(graph.n, dtype=bool)
-    sizes = []
-    for start in range(graph.n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        count = 1
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in nbrs[indptr[x] : indptr[x + 1]].tolist():
-                if not seen[y]:
-                    seen[y] = True
-                    count += 1
-                    queue.append(y)
-        sizes.append(count)
-    out = np.asarray(sorted(sizes, reverse=True), dtype=np.int64)
-    return ComponentSummary(n=graph.n, sizes=out)
-
-
-class StopReason(Enum):
-    REACHED_CUTOFF = "reached_cutoff"
-    DIED = "died"
-
-
-@dataclass(frozen=True)
-class ExplorationResult:
-    start: int
-    stopped_reason: StopReason
-    explored_count: int
-    cutoff: int
-
-
-def explore(graph: Graph, start: int, omega: int) -> ExplorationResult:
-    """Breadth-first exploration from start, halted at omega vertices.
-
-    Stops with REACHED_CUTOFF exactly when start's component has size >=
-    omega: exploration within one component can discover only that
-    component, so the cutoff is hit if and only if enough vertices exist.
-    """
-    if not 0 <= start < graph.n:
-        raise ValueError(f"start vertex {start} out of range")
-    if omega < 1:
-        raise ValueError(f"need omega >= 1, got {omega}")
-    indptr, nbrs = graph.adjacency()
-    seen = {start}
-    if len(seen) >= omega:
-        return ExplorationResult(start, StopReason.REACHED_CUTOFF, len(seen), omega)
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        for y in nbrs[indptr[x] : indptr[x + 1]].tolist():
-            if y in seen:
-                continue
-            seen.add(y)
-            if len(seen) >= omega:
-                return ExplorationResult(start, StopReason.REACHED_CUTOFF, len(seen), omega)
-            queue.append(y)
-    return ExplorationResult(start, StopReason.DIED, len(seen), omega)
 
 
 def b_fraction(graph: Graph, omega: int) -> float:

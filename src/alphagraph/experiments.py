@@ -19,13 +19,7 @@ import numpy as np
 
 from .branching import rho_limit
 from .components import _label_edges, component_labels, omega_for
-from .model import (
-    Kernel,
-    ModelParams,
-    NearestNeighborKernel,
-    PowerLawKernel,
-    kernel_for_alpha,
-)
+from .model import Kernel, ModelParams, kernel_alpha, kernel_for_alpha
 from .sampler import (
     Graph,
     _decode_indices,
@@ -328,13 +322,7 @@ def conjecture_probe(
     whose normalizer stays bounded are expected to fall away from it as n
     grows.
     """
-    if isinstance(kernel, PowerLawKernel):
-        alpha = kernel.alpha
-    elif isinstance(kernel, NearestNeighborKernel):
-        alpha = math.inf
-    else:
-        alpha = None
-    cells = [(kernel, alpha, c, n) for c in cs for n in ns]
+    cells = [(kernel, kernel_alpha(kernel), c, n) for c in cs for n in ns]
     results = _run_cells(
         cells, replicates, omega_rule, master_seed, workers, predict="always"
     )

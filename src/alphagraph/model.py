@@ -13,9 +13,10 @@ probability is clamped at 1.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ __all__ = [
     "TabulatedKernel",
     "Kernel",
     "parse_kernel",
+    "kernel_alpha",
     "load_tabulated_kernel",
     "ModelParams",
     "Normalizer",
@@ -143,14 +145,20 @@ class TabulatedKernel:
             )
         return np.asarray(self.table[: n // 2], dtype=np.float64)
 
-    def spec_string(self) -> str:
+    @cached_property
+    def _digest(self) -> str:
         # Content-addressed: two tables with equal values are the same kernel.
-        import hashlib
-
-        h = hashlib.blake2s(
+        # Computed once per instance; lru_cache lookups keyed on the kernel
+        # hash this digest instead of the whole table.
+        return hashlib.blake2s(
             np.asarray(self.table, dtype=np.float64).tobytes(), digest_size=8
         ).hexdigest()
-        return f"custom:{h}"
+
+    def __hash__(self) -> int:
+        return hash(self._digest)
+
+    def spec_string(self) -> str:
+        return f"custom:{self._digest}"
 
 
 Kernel = PowerLawKernel | PowerLogKernel | NearestNeighborKernel | TabulatedKernel
@@ -158,9 +166,19 @@ Kernel = PowerLawKernel | PowerLogKernel | NearestNeighborKernel | TabulatedKern
 
 def kernel_for_alpha(alpha: float) -> Kernel:
     """Power-law kernel for finite alpha; nearest-neighbor for alpha=inf."""
-    if math.isinf(alpha):
+    if alpha == math.inf:
         return NearestNeighborKernel()
     return PowerLawKernel(alpha)
+
+
+def kernel_alpha(kernel: Kernel) -> float | None:
+    """Inverse of kernel_for_alpha: the exponent of a power-law kernel, inf
+    for the nearest-neighbor kernel, None for any other kernel."""
+    if isinstance(kernel, PowerLawKernel):
+        return kernel.alpha
+    if isinstance(kernel, NearestNeighborKernel):
+        return math.inf
+    return None
 
 
 def load_tabulated_kernel(path: str | Path) -> TabulatedKernel:
@@ -286,11 +304,7 @@ class ModelParams:
     @property
     def alpha(self) -> float | None:
         """Exponent when the kernel is in the power-law family, else None."""
-        if isinstance(self.kernel, PowerLawKernel):
-            return self.kernel.alpha
-        if isinstance(self.kernel, NearestNeighborKernel):
-            return math.inf
-        return None
+        return kernel_alpha(self.kernel)
 
     @property
     def h(self) -> float:

@@ -31,6 +31,8 @@ from .model import (
     ModelParams,
     class_edge_probs,
     distance_classes,
+    kernel_alpha,
+    kernel_for_alpha,
     normalizer,
     parse_kernel,
 )
@@ -198,51 +200,52 @@ def subgraph_at(filtration: Filtration, c: float) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=4)
-def _pair_index_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoints (u, v), u < v, of every pair in canonical order; read-only."""
-    u = np.repeat(np.arange(n - 1), np.arange(n - 1, 0, -1))
-    v = np.concatenate([np.arange(s + 1, n) for s in range(n - 1)])
-    u.setflags(write=False)
-    v.setflags(write=False)
-    return u, v
+# Pairs per sample_naive block.  A block's arrays take 24 bytes per pair,
+# 1.5 MB, small enough to stay in a typical L2 cache; the block cache holds
+# at most 16 blocks, 24 MB.  Every block of n <= 1024 stays cached, larger
+# n rebuild theirs on each call.
+_NAIVE_BLOCK_PAIRS = 1 << 16
 
 
 @lru_cache(maxsize=16)
-def _pair_probs(n: int, c: float, kernel: Kernel) -> np.ndarray:
-    """Edge probability of every pair (u, v), u < v, in canonical order; read-only."""
-    u, v = _pair_index_arrays(n)
-    a = v - u
-    probs = _class_tables(n, c, kernel)[1][np.minimum(a, n - a) - 1]
-    probs.setflags(write=False)
-    return probs
+def _naive_block(n: int, r0: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs (u, v), u < v, of rows u = r0..r1-1, in canonical order.
+
+    Returns (r1, u, v, cls), cls = d - 1 being each pair's distance class;
+    r1 is the largest row end that keeps the block within
+    _NAIVE_BLOCK_PAIRS pairs, but at least r0 + 1.  Arrays are read-only.
+    """
+    sizes = np.arange(n - 1 - r0, 0, -1)  # pairs in rows r0, r0 + 1, ..., n - 2
+    ends = np.cumsum(sizes)
+    rows = max(1, int(np.searchsorted(ends, _NAIVE_BLOCK_PAIRS, side="right")))
+    sizes, ends = sizes[:rows], ends[:rows]
+    u = np.repeat(np.arange(r0, r0 + rows), sizes)
+    a = np.arange(1, ends[-1] + 1) - np.repeat(ends - sizes, sizes)  # v - u
+    v = u + a
+    cls = np.minimum(a, n - a) - 1
+    for arr in (u, v, cls):
+        arr.setflags(write=False)
+    return r0 + rows, u, v, cls
 
 
 def sample_naive(params: ModelParams, replicate: int = 0, max_n: int = NAIVE_GUARD_N) -> Graph:
-    """Direct per-pair Bernoulli sampling; O(n^2) work, guarded by max_n."""
+    """Direct per-pair Bernoulli sampling; O(n^2) work, guarded by max_n.
+
+    One uniform per pair, drawn in canonical pair order, in row blocks of at
+    most _NAIVE_BLOCK_PAIRS pairs.
+    """
     n = params.n
     if n > max_n:
         raise ValueError(f"sample_naive is O(n^2); n={n} exceeds guard {max_n}")
     rng = stream(params.seed, "sample:naive", params.kernel.spec_string(), n, float(params.c), replicate)
-    if n <= 2048:
-        # Small-n fast path: one vectorized draw over all pairs.
-        probs = _pair_probs(n, params.c, params.kernel)
-        hit = rng.random(probs.shape[0]) < probs
-        u, v = _pair_index_arrays(n)
-        return Graph(n, np.column_stack([u[hit], v[hit]]), _validated=True)
     p_class = _class_tables(n, params.c, params.kernel)[1]
     us, vs = [], []
-    for u in range(n - 1):
-        v = np.arange(u + 1, n)
-        a = v - u
-        d = np.minimum(a, n - a)
-        hit = rng.random(v.shape[0]) < p_class[d - 1]
-        if hit.any():
-            vv = v[hit]
-            us.append(np.full(vv.shape[0], u, dtype=np.int64))
-            vs.append(vv)
-    if not us:
-        return Graph(n, np.empty((0, 2), dtype=np.int64), _validated=True)
+    r0 = 0
+    while r0 < n - 1:
+        r0, u, v, cls = _naive_block(n, r0)
+        hit = rng.random(u.shape[0]) < p_class[cls]
+        us.append(u[hit])
+        vs.append(v[hit])
     edges = np.column_stack([np.concatenate(us), np.concatenate(vs)])
     return Graph(n, edges, _validated=True)
 
@@ -469,23 +472,23 @@ def _parse_body(body: str, dtype, cols: int) -> np.ndarray:
 
 
 def _kernel_to_alpha_field(kernel: Kernel) -> str:
-    from .model import NearestNeighborKernel, PowerLawKernel
-
-    if isinstance(kernel, PowerLawKernel):
-        return repr(float(kernel.alpha))
-    if isinstance(kernel, NearestNeighborKernel):
-        return "inf"
-    return kernel.spec_string()
+    alpha = kernel_alpha(kernel)
+    return kernel.spec_string() if alpha is None else repr(float(alpha))
 
 
 def kernel_from_alpha_field(field: str) -> Kernel:
-    """Inverse of the header alpha field: a float, "inf", or a kernel spec."""
-    from .model import NearestNeighborKernel, PowerLawKernel
+    """Inverse of the header alpha field: a float, "inf", or a kernel spec.
 
-    if field == "inf":
-        return NearestNeighborKernel()
+    A tabulated kernel is written as its content hash, "custom:<hash>";
+    its table is not in the file, so it cannot be read back.
+    """
+    if field.startswith("custom:"):
+        raise ValueError(
+            f"header alpha={field} names a tabulated kernel; its table is not "
+            "stored in the file, so the kernel cannot be read back"
+        )
     try:
-        return PowerLawKernel(float(field))
+        return kernel_for_alpha(float(field))
     except ValueError:
         return parse_kernel(field)
 

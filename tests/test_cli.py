@@ -1,10 +1,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import alphagraph
 from alphagraph.cli import main
 from alphagraph.components import components
 from alphagraph.experiments import format_float, triangle_stats
@@ -14,6 +19,23 @@ from alphagraph.sampler import read_edge_list, sample_fast
 
 def run(argv):
     return main(argv)
+
+
+class TestImports:
+    def test_cli_import_does_not_load_scipy(self):
+        # scipy is a test-only dependency, and importing it would add a few
+        # tenths of a second to every CLI process
+        src = str(Path(alphagraph.__file__).resolve().parents[1])
+        path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        code = (
+            "import sys, alphagraph, alphagraph.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestSample:

@@ -5,12 +5,10 @@ import pytest
 
 from alphagraph.branching import rho_limit
 from alphagraph.components import (
-    StopReason,
+    ComponentSummary,
     b_fraction,
     component_labels,
     components,
-    components_bfs,
-    explore,
     omega_for,
 )
 from alphagraph.model import ModelParams
@@ -61,6 +59,13 @@ def bfs_min_and_size(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     return comp_min, comp_size
 
 
+def components_bfs(graph: Graph) -> ComponentSummary:
+    """Independent BFS partition, largest first: the component engine's oracle."""
+    comp_min, comp_size = bfs_min_and_size(graph)
+    sizes = np.sort(comp_size[comp_min == np.arange(graph.n)])[::-1]
+    return ComponentSummary(n=graph.n, sizes=sizes)
+
+
 class TestComponents:
     def test_empty(self):
         s = components(empty_graph(10))
@@ -104,55 +109,6 @@ class TestComponents:
             assert np.array_equal(sizes[labels], comp_size)
 
 
-class TestExplore:
-    def test_isolated_vertex_dies(self):
-        r = explore(empty_graph(5), 2, omega=2)
-        assert r.stopped_reason is StopReason.DIED
-        assert r.explored_count == 1
-
-    def test_cutoff_below_component_size(self):
-        r = explore(ring_graph(10), 0, omega=5)
-        assert r.stopped_reason is StopReason.REACHED_CUTOFF
-        assert r.explored_count == 5
-
-    def test_matches_component_size_exactly(self):
-        g = sample_fast(ModelParams.make(2000, 1.0, 1.2, seed=5))
-        labels, sizes = component_labels(g)
-        rng = np.random.default_rng(0)
-        for start in rng.integers(0, 2000, size=50).tolist():
-            comp = int(sizes[labels[start]])
-            for omega in (1, 2, max(2, comp), comp + 1, comp + 10):
-                r = explore(g, start, omega)
-                expected = comp >= omega
-                assert (r.stopped_reason is StopReason.REACHED_CUTOFF) == expected
-                if not expected:
-                    assert r.explored_count == comp
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            explore(ring_graph(4), 4, 1)
-        with pytest.raises(ValueError):
-            explore(ring_graph(4), 0, 0)
-
-    def test_cutoff_hit_frequency_approaches_survival_probability(self):
-        # At alpha=1, c=2 the chance a uniform start reaches a small cutoff
-        # approximates the branching survival probability plus the few
-        # finite components of size >= omega.
-        rho = rho_limit(2.0)
-        n = 10**5
-        omega = max(1, math.ceil(math.log(math.log(n))))  # -> 3
-        hits = 0
-        trials = 0
-        rng = np.random.default_rng(123)
-        for rep in range(20):
-            g = sample_fast(ModelParams.make(n, 1.0, 2.0, seed=303), replicate=rep)
-            for start in rng.integers(0, n, size=1000).tolist():
-                trials += 1
-                r = explore(g, start, omega)
-                hits += r.stopped_reason is StopReason.REACHED_CUTOFF
-        assert abs(hits / trials - rho) < 0.05
-
-
 class TestBFraction:
     def test_omega_one_is_total(self):
         g = sample_fast(ModelParams.make(300, 1.0, 1.0, seed=2))
@@ -186,6 +142,18 @@ class TestBFraction:
             g = sample_fast(ModelParams.make(n, 0.0, 2.0, seed=11), replicate=rep)
             vals.append(b_fraction(g, omega))
         assert abs(np.mean(vals) - rho_limit(2.0)) < 0.02
+
+    def test_loglog_cutoff_fraction_approaches_survival_probability(self):
+        # At alpha=1, c=2 the share of vertices in components of at least
+        # ceil(ln ln n) = 3 vertices approximates the branching survival
+        # probability plus the few finite components of size >= omega.
+        rho = rho_limit(2.0)
+        n = 10**5
+        omega = omega_for("loglog", n)
+        assert omega == 3
+        for rep in range(20):
+            g = sample_fast(ModelParams.make(n, 1.0, 2.0, seed=303), replicate=rep)
+            assert abs(components(g).b_count(omega) / n - rho) < 0.05
 
 
 class TestTrivialClamping:

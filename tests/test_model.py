@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from alphagraph import model
 from alphagraph.model import (
     ModelParams,
     NearestNeighborKernel,
@@ -11,6 +12,7 @@ from alphagraph.model import (
     TabulatedKernel,
     distance_classes,
     edge_prob,
+    kernel_alpha,
     kernel_for_alpha,
     load_tabulated_kernel,
     marginal_degree_sum,
@@ -154,6 +156,40 @@ class TestKernels:
     def test_kernel_for_alpha(self):
         assert kernel_for_alpha(math.inf) == NearestNeighborKernel()
         assert kernel_for_alpha(2.0) == PowerLawKernel(2.0)
+        with pytest.raises(ValueError):
+            kernel_for_alpha(-math.inf)
+
+    def test_kernel_alpha_inverts_kernel_for_alpha(self):
+        for alpha in (0.0, 1.0, 2.5, math.inf):
+            assert kernel_alpha(kernel_for_alpha(alpha)) == alpha
+        assert kernel_alpha(PowerLogKernel(1.0, 1.0)) is None
+        assert kernel_alpha(TabulatedKernel((1.0, 0.5))) is None
+
+    def test_tabulated_equal_tables_equal_kernels(self):
+        a = TabulatedKernel((1.0, 0.5, 0.25))
+        b = TabulatedKernel((1, 0.5, 0.25))
+        other = TabulatedKernel((1.0, 0.5, 0.125))
+        assert a == b and hash(a) == hash(b)
+        assert a.spec_string() == b.spec_string()
+        assert a.spec_string().startswith("custom:")
+        assert a != other and a.spec_string() != other.spec_string()
+
+    def test_tabulated_table_hashed_once(self, monkeypatch):
+        calls = []
+        blake2s = model.hashlib.blake2s
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return blake2s(*args, **kwargs)
+
+        monkeypatch.setattr(model.hashlib, "blake2s", counting)
+        k = TabulatedKernel(tuple(1.0 / d for d in range(1, 1001)))
+        specs = {k.spec_string() for _ in range(3)}
+        hashes = {hash(k) for _ in range(3)}
+        for _ in range(3):
+            normalizer(2000, k)  # lru_cache lookups keyed on the kernel
+        assert len(specs) == 1 and len(hashes) == 1
+        assert len(calls) == 1
 
 
 class TestEdgeProb:

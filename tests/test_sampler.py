@@ -5,7 +5,10 @@ import pytest
 
 from alphagraph.model import (
     ModelParams,
+    NearestNeighborKernel,
     PowerLawKernel,
+    PowerLogKernel,
+    TabulatedKernel,
     class_edge_probs,
     distance_classes,
     edge_prob,
@@ -74,15 +77,35 @@ class TestSampleNaive:
         with pytest.raises(ValueError):
             sample_naive(ModelParams.make(20_000, 1.0, 1.0))
 
-    def test_large_small_paths_same_law(self):
-        # row-chunked path (forced via small threshold is not exposed; instead
-        # compare the n>2048 path statistically against exact probabilities)
+    def test_many_blocks_edge_count_matches_expectation(self):
+        # n=3000 spans dozens of row blocks; the edge count of one draw
+        # must match its exact expectation n * (sum of p from a vertex) / 2
         params = ModelParams.make(3000, 1.0, 2.0, seed=9)
         g = sample_naive(params)
         mds = marginal_degree_sum(params)
         expected = params.n * mds / 2
         sd = math.sqrt(expected)
         assert abs(g.num_edges - expected) < 6 * sd
+
+    @pytest.mark.parametrize("block_pairs", [1, 5, 64, 1000])
+    def test_bits_independent_of_block_size(self, monkeypatch, block_pairs):
+        # blocks only partition the canonical pair order, so the per-pair
+        # uniforms and hence the graph must not depend on the block size
+        def draw():
+            return [
+                sample_naive(ModelParams.make(n, 1.0, 2.0, seed=4), replicate=rep)
+                for n in (2, 3, 17, 64, 130)
+                for rep in (0, 5)
+            ]
+
+        expected = draw()
+        sampler._naive_block.cache_clear()
+        monkeypatch.setattr(sampler, "_NAIVE_BLOCK_PAIRS", block_pairs)
+        try:
+            got = draw()
+        finally:
+            sampler._naive_block.cache_clear()
+        assert got == expected
 
     def test_per_pair_frequency_matches_edge_prob(self):
         # 1e5 replicates at n=64: every pair within 4 binomial sd of its p
@@ -309,6 +332,27 @@ class TestEdgeListFiles:
         # 17 significant digits round-trip doubles exactly
         assert np.array_equal(f.activation, f2.activation)
         assert header["c"] == 2.0
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [PowerLawKernel(0.0), PowerLawKernel(1.0), NearestNeighborKernel(), PowerLogKernel(1.0, 2.0)],
+    )
+    def test_filtration_roundtrip_kernel(self, tmp_path, kernel):
+        f = sample_filtration(100, kernel, 2.0, seed=5)
+        path = tmp_path / "f.filt"
+        write_filtration(path, f, seed=5)
+        assert read_filtration(path)[0].kernel == kernel
+
+    def test_tabulated_filtration_not_read_back(self, tmp_path, monkeypatch):
+        kernel = TabulatedKernel(tuple(1.0 / d for d in range(1, 51)))
+        f = sample_filtration(100, kernel, 2.0, seed=5)
+        path = tmp_path / "f.filt"
+        write_filtration(path, f, seed=5)
+        # a file named like the table's hash must not be loaded as the kernel
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / kernel.spec_string().partition(":")[2]).write_text("1 1.0\n")
+        with pytest.raises(ValueError, match="table is not stored in the file"):
+            read_filtration(path)
 
     def test_out_of_range_endpoint_rejected(self, tmp_path):
         path = tmp_path / "big.edges"
