@@ -74,7 +74,7 @@ def _label_edges(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
         while True:
             hop = label[label]
-            if np.array_equal(hop, label):
+            if not (hop != label).any():
                 break
             label = hop
 

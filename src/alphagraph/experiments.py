@@ -22,7 +22,9 @@ from .components import _label_edges, component_labels, omega_for
 from .model import Kernel, ModelParams, kernel_alpha, kernel_for_alpha
 from .sampler import (
     Graph,
+    _class_tables,
     _decode_indices,
+    _fast_key,
     _fast_stream,
     _sample_indices,
     atomic_write,
@@ -30,7 +32,7 @@ from .sampler import (
     sample_filtration,
     subgraph_at,
 )
-from .streams import stream
+from .streams import rekey, stream
 
 __all__ = [
     "SweepSpec",
@@ -160,13 +162,21 @@ def _batch_stats(
     vertices are shifted by i*n, so the batch is one disjoint union that a
     single labelling pass splits into components.  Labels are component
     minima, so replicate i's labels stay in row i of the (r, n) size table.
+    The class tables are fetched once, and one generator serves the whole
+    batch: it is re-keyed to each replicate's stream in turn, which is safe
+    because it never leaves this function.
     """
     n = params.n
     r = stop - start
-    draws = [_sample_indices(_fast_stream(params, rep), params) for rep in range(start, stop)]
-    offsets = draws[0][1]
-    _, u, v = _decode_indices(n, offsets, np.concatenate([idx for idx, _ in draws]))
-    shift = np.repeat(np.arange(r, dtype=np.int64) * n, [idx.size for idx, _ in draws])
+    tables = _class_tables(n, params.c, params.kernel)
+    rng = _fast_stream(params, start)
+    draws = []
+    for rep in range(start, stop):
+        if rep > start:
+            rekey(rng, _fast_key(params, rep))
+        draws.append(_sample_indices(rng, tables))
+    _, u, v = _decode_indices(n, tables[2], np.concatenate(draws))
+    shift = np.repeat(np.arange(r, dtype=np.int64) * n, [idx.size for idx in draws])
     u += shift
     v += shift
     sizes = np.bincount(_label_edges(r * n, u, v), minlength=r * n).reshape(r, n)

@@ -36,7 +36,7 @@ from .model import (
     normalizer,
     parse_kernel,
 )
-from .streams import stream
+from .streams import keyed_stream, stream, stream_key
 
 __all__ = [
     "Graph",
@@ -261,42 +261,40 @@ def _select_class_members(
     Classes are intervals [offsets[j], offsets[j]+m_pairs[j]) of an implicit
     global pair index.  Clamped classes (count == m) are emitted whole;
     dense classes use a partial shuffle; sparse classes are filled by
-    vectorized rejection across all classes at once: each round draws the
-    missing members with replacement, merges them into the chosen set by
-    one sort, and drops repeats with an adjacent-difference mask, so the
-    per-class cost stays proportional to the number of selected pairs.
-    The result is a concatenation of sorted runs, not sorted as a whole.
+    vectorized rejection across all classes at once.  The first round draws
+    every member with replacement; each round merges its draws into the
+    chosen set by one sort and drops repeats with an adjacent-difference
+    mask.  Each repeat stands for one member its class still lacks, and the
+    sort leaves the repeats in ascending class order, so the next round
+    redraws exactly one member in the class of each repeat.  The rounds end
+    when one leaves no repeat, and make no draw if no class is sparse.  The
+    per-class cost stays proportional to the number of selected pairs.  The
+    result is a concatenation of sorted runs, not sorted as a whole.
     """
     nz = np.nonzero(counts)[0]
+    k, m = counts[nz], m_pairs[nz]
+    half = m // 2
     parts: list[np.ndarray] = []
 
-    full = nz[counts[nz] == m_pairs[nz]]
-    for j in full:
+    for j in nz[k == m]:
         parts.append(np.arange(offsets[j], offsets[j] + m_pairs[j], dtype=np.int64))
 
-    partial = nz[counts[nz] < m_pairs[nz]]
-    dense = partial[counts[partial] > m_pairs[partial] // 2]
-    for j in dense:
+    for j in nz[(k > half) & (k < m)]:
         sel = rng.choice(m_pairs[j], size=counts[j], replace=False)
         parts.append(offsets[j] + np.sort(sel))
 
-    sparse = partial[counts[partial] <= m_pairs[partial] // 2]
-    need = counts[sparse].copy()
+    sparse = nz[k <= half]
+    cls = np.repeat(sparse, counts[sparse])
     chosen = np.empty(0, dtype=np.int64)
-    while sparse.size:
-        cls = np.repeat(sparse, need)
+    while cls.size:
         chosen = np.concatenate([chosen, offsets[cls] + rng.integers(0, m_pairs[cls])])
         chosen.sort()
-        fresh = np.empty(chosen.shape, dtype=bool)
-        fresh[:1] = True
-        np.not_equal(chosen[1:], chosen[:-1], out=fresh[1:])
-        chosen = chosen[fresh]
-        got = np.searchsorted(chosen, offsets[sparse] + m_pairs[sparse]) - np.searchsorted(
-            chosen, offsets[sparse]
-        )
-        need = counts[sparse] - got
-        alive = need > 0
-        sparse, need = sparse[alive], need[alive]
+        repeat = np.zeros(chosen.shape, dtype=bool)
+        np.equal(chosen[1:], chosen[:-1], out=repeat[1:])
+        if not repeat.any():
+            break
+        cls = np.searchsorted(offsets, chosen[repeat], side="right") - 1
+        chosen = chosen[~repeat]
     parts.append(chosen)
     return np.concatenate(parts)
 
@@ -310,6 +308,8 @@ def _class_tables(n: int, c: float, kernel: Kernel) -> tuple[np.ndarray, np.ndar
     [offsets[j], offsets[j + 1]).  An entry takes 24 bytes per class, about
     12 MB at n=1e6, hence the small cache.
     """
+    if n > MAX_PAIR_KEY_N:
+        raise ValueError(f"n={n} exceeds {MAX_PAIR_KEY_N}: int64 pair keys would overflow")
     _, _, m_pairs = distance_classes(n)
     probs = class_edge_probs(ModelParams(n=n, c=c, kernel=kernel))
     offsets = np.concatenate([[0], np.cumsum(m_pairs)]).astype(np.int64)
@@ -318,18 +318,17 @@ def _class_tables(n: int, c: float, kernel: Kernel) -> tuple[np.ndarray, np.ndar
     return m_pairs, probs, offsets
 
 
-def _sample_indices(rng: np.random.Generator, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+def _sample_indices(
+    rng: np.random.Generator, tables: tuple[np.ndarray, np.ndarray, np.ndarray]
+) -> np.ndarray:
     """Draw the edge set: Binomial counts per distance class, then members.
 
-    Returns (idx, offsets): the global pair index of each edge, in no
-    particular order, and the class offsets that decode them.
+    ``tables`` are the model's ``_class_tables``.  Returns the global pair
+    index of each edge, in no particular order.
     """
-    n = params.n
-    if n > MAX_PAIR_KEY_N:
-        raise ValueError(f"n={n} exceeds {MAX_PAIR_KEY_N}: int64 pair keys would overflow")
-    m_pairs, probs, offsets = _class_tables(n, params.c, params.kernel)
+    m_pairs, probs, offsets = tables
     counts = rng.binomial(m_pairs, probs)
-    return _select_class_members(rng, m_pairs, counts, offsets), offsets
+    return _select_class_members(rng, m_pairs, counts, offsets)
 
 
 def _decode_indices(
@@ -345,18 +344,24 @@ def _decode_indices(
     return j, u, v
 
 
-def _fast_stream(params: ModelParams, replicate: int) -> np.random.Generator:
-    """The stream that sample_fast draws replicate ``replicate`` from."""
-    return stream(
+def _fast_key(params: ModelParams, replicate: int) -> tuple[int, int]:
+    """Key of the stream that sample_fast draws replicate ``replicate`` from."""
+    return stream_key(
         params.seed, "sample:fast", params.kernel.spec_string(), params.n, float(params.c), replicate
     )
+
+
+def _fast_stream(params: ModelParams, replicate: int) -> np.random.Generator:
+    """The stream that sample_fast draws replicate ``replicate`` from."""
+    return keyed_stream(_fast_key(params, replicate))
 
 
 def sample_fast(params: ModelParams, replicate: int = 0) -> Graph:
     """Distance-class sampler; same law as sample_naive, O(n + |E|) work."""
     n = params.n
-    idx, offsets = _sample_indices(_fast_stream(params, replicate), params)
-    _, u, v = _decode_indices(n, offsets, idx)
+    tables = _class_tables(n, params.c, params.kernel)
+    idx = _sample_indices(_fast_stream(params, replicate), tables)
+    _, u, v = _decode_indices(n, tables[2], idx)
     return Graph(n, canonical_edges(n, u, v), _validated=True)
 
 
@@ -373,11 +378,12 @@ def sample_filtration(
         raise ValueError(f"need c_max > 0, got {c_max}")
     params = ModelParams(n=n, c=c_max, kernel=kernel, seed=seed)
     rng = stream(seed, "filtration", kernel.spec_string(), n, float(c_max), replicate)
-    idx, offsets = _sample_indices(rng, params)
+    tables = _class_tables(n, params.c, kernel)
+    idx = _sample_indices(rng, tables)
     # Activations are drawn in increasing global-index order.  The indices
     # are a concatenation of sorted runs, so a stable (merging) sort is cheap.
     idx.sort(kind="stable")
-    j, u, v = _decode_indices(n, offsets, idx)
+    j, u, v = _decode_indices(n, tables[2], idx)
 
     h = normalizer(n, kernel).value
     cap = np.minimum(c_max, h / kernel.values(n)[j])
