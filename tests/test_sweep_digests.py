@@ -1,12 +1,14 @@
-"""Frozen sweep and probe outputs, and a per-replicate oracle for every cell.
+"""Frozen driver outputs, and a per-replicate oracle for every sweep cell.
 
 The digests are blake2b hashes of the CSV bytes that ``alphagraph sweep``
 and ``alphagraph probe`` write for a fixed grid.  They were computed once,
 while the sweep still sampled and labelled one replicate per job, so they
 pin the determinism contract for the sweep drivers: the CSV must not change
-with the worker count or with how replicates are grouped into jobs.  Never
-regenerate them to make a change pass; a change that alters bits on purpose
-must say so and justify it.
+with the worker count or with how replicates are grouped into jobs.  The
+``blocks``, ``sprinkle`` and ``triangles`` digests were computed while each
+of those drivers still ran one job per replicate (triangles serially, in the
+CLI), and pin them the same way.  Never regenerate them to make a change
+pass; a change that alters bits on purpose must say so and justify it.
 
 The oracle tests recompute every ``CellResult`` from ``sample_fast`` and
 ``components`` one replicate at a time, with the reductions the sweep uses.
@@ -36,10 +38,24 @@ PROBE_ARGV = ["probe", "--kernel", "powerlog:alpha=1.0,beta=1.0", *GRID]
 SWEEP_DIGEST = "ee4da9f501bedb84a67c9b0cde26bbd0"
 PROBE_DIGEST = "6d5b4af63f227c525d00f5cd706dc410"
 
+# n=20011 rounds down to 20006 for m=7 and to 20000 for the other sizes; the
+# pair cap samples ring positions for m <= 25 and is exhaustive for m=500.
+BLOCKS_ARGV = ["blocks", "--n", "20011", "--alpha", "1.5", "--c", "1.5", "--ms", "7,16,25,500",
+               "--reps", "8", "--pairs-cap", "300", "--block-distance", "3", "--seed", str(SEED)]
+SPRINKLE_ARGV = ["sprinkle", "--n", "3000", "--alpha", "1", "--cprime", "1.5", "--delta", "0.5",
+                 "--omega", "20", "--reps", "6", "--seed", str(SEED)]
+TRIANGLES_ARGV = ["triangles", "--n", "2000", "--alpha", "1.5", "--c", "1.2", "--reps", "4",
+                  "--seed", str(SEED)]
 
-def _csv_digest(tmp_path, argv, workers):
+BLOCKS_DIGEST = "9848f05416f52252a46521b25c7c0b9f"
+SPRINKLE_DIGEST = "88f8c8af3bb0dc7d42dadbbb99fb626b"
+TRIANGLES_DIGEST = "543bca35ee8833e1a039fe29ecd77de1"
+
+
+def _csv_digest(tmp_path, argv, workers=None):
     out = tmp_path / f"{argv[0]}-w{workers}.csv"
-    assert main([*argv, "--workers", str(workers), "--out", str(out)]) == 0
+    flags = [] if workers is None else ["--workers", str(workers)]
+    assert main([*argv, *flags, "--out", str(out)]) == 0
     return hashlib.blake2b(out.read_bytes(), digest_size=16).hexdigest()
 
 
@@ -56,6 +72,20 @@ def test_sweep_csv_digest(tmp_path, workers):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_probe_csv_digest(tmp_path, workers):
     assert _csv_digest(tmp_path, PROBE_ARGV, workers) == PROBE_DIGEST
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_blocks_csv_digest(tmp_path, workers):
+    assert _csv_digest(tmp_path, BLOCKS_ARGV, workers) == BLOCKS_DIGEST
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sprinkle_csv_digest(tmp_path, workers):
+    assert _csv_digest(tmp_path, SPRINKLE_ARGV, workers) == SPRINKLE_DIGEST
+
+
+def test_triangles_csv_digest(tmp_path):
+    assert _csv_digest(tmp_path, TRIANGLES_ARGV) == TRIANGLES_DIGEST
 
 
 def _reference_cell(kernel, alpha, c, n, reps, omega_rule, seed, predicted) -> CellResult:
