@@ -51,12 +51,21 @@ def _nonneg_float_arg(text: str) -> float:
     return value
 
 
-def _pos_int_arg(text: str) -> int:
-    """Integer flag >= 1, for replicate and worker counts."""
-    value = _int_arg(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+def _int_at_least(low: int):
+    """Integer flag >= low."""
+
+    def parse(text: str) -> int:
+        value = _int_arg(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    parse.__name__ = f"integer >= {low}"
+    return parse
+
+
+_pos_int_arg = _int_at_least(1)  # replicate and worker counts, block sizes, pair caps
+_ring_size_arg = _int_at_least(2)  # vertex counts n
 
 
 def _alpha_arg(text: str) -> float:
@@ -104,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="sample one graph and write an edge-list file")
-    p.add_argument("--n", type=_int_arg, required=True)
+    p.add_argument("--n", type=_ring_size_arg, required=True)
     p.add_argument("--alpha", type=_alpha_arg)
     p.add_argument("--kernel", type=str, help="kernel spec, e.g. powerlog:alpha=1.0,beta=1.0")
     p.add_argument("--c", type=_nonneg_float_arg, required=True)
@@ -119,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gw-rho", help="Galton-Watson extinction/survival probabilities")
     p.add_argument("--c", type=_nonneg_float_arg, required=True)
-    p.add_argument("--n", type=_int_arg, help="use the exact finite-n degree law")
+    p.add_argument("--n", type=_ring_size_arg, help="use the exact finite-n degree law")
     p.add_argument("--alpha", type=_alpha_arg, help="exponent for the finite-n law")
     p.add_argument("--tol", type=_float_arg, default=branching.DEFAULT_TOL)
     p.set_defaults(func=cmd_gw_rho)
@@ -127,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="largest-component sweep over an (alpha, c, n) grid")
     p.add_argument("--alphas", type=_list_arg(_alpha_arg), required=True)
     p.add_argument("--cs", type=_list_arg(_nonneg_float_arg), required=True)
-    p.add_argument("--ns", type=_list_arg(_int_arg), required=True)
+    p.add_argument("--ns", type=_list_arg(_ring_size_arg), required=True)
     p.add_argument("--reps", type=_pos_int_arg, default=10)
     p.add_argument("--seed", type=_int_arg, default=0)
     p.add_argument("--omega-rule", default="log4")
@@ -136,14 +145,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("blocks", help="block-to-block connectivity frequencies")
-    p.add_argument("--n", type=_int_arg, required=True)
+    p.add_argument("--n", type=_ring_size_arg, required=True)
     p.add_argument("--alpha", type=_alpha_arg)
     p.add_argument("--kernel", type=str)
     p.add_argument("--c", type=_nonneg_float_arg, required=True)
-    p.add_argument("--ms", type=_list_arg(_int_arg), required=True)
+    p.add_argument("--ms", type=_list_arg(_pos_int_arg), required=True)
     p.add_argument("--reps", type=_pos_int_arg, default=20)
     p.add_argument("--seed", type=_int_arg, default=0)
-    p.add_argument("--pairs-cap", type=_int_arg, default=1000)
+    p.add_argument("--pairs-cap", type=_pos_int_arg, default=1000)
     p.add_argument("--block-distance", type=_int_arg, default=2,
                    help="circular block distance probed for non-adjacent pairs")
     p.add_argument("--workers", type=_pos_int_arg, default=None)
@@ -151,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_blocks)
 
     p = sub.add_parser("triangles", help="triangle statistics over replicates")
-    p.add_argument("--n", type=_int_arg, required=True)
+    p.add_argument("--n", type=_ring_size_arg, required=True)
     p.add_argument("--alpha", type=_alpha_arg)
     p.add_argument("--kernel", type=str)
     p.add_argument("--c", type=_nonneg_float_arg, required=True)
@@ -161,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_triangles)
 
     p = sub.add_parser("sprinkle", help="two-stage (c' then c'+delta) connectivity check")
-    p.add_argument("--n", type=_int_arg, required=True)
+    p.add_argument("--n", type=_ring_size_arg, required=True)
     p.add_argument("--alpha", type=_alpha_arg)
     p.add_argument("--kernel", type=str)
     p.add_argument("--cprime", type=_nonneg_float_arg, required=True)
@@ -176,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probe", help="fraction trends for an explicit kernel over (c, n)")
     p.add_argument("--kernel", type=str, required=True)
     p.add_argument("--cs", type=_list_arg(_nonneg_float_arg), required=True)
-    p.add_argument("--ns", type=_list_arg(_int_arg), required=True)
+    p.add_argument("--ns", type=_list_arg(_ring_size_arg), required=True)
     p.add_argument("--reps", type=_pos_int_arg, default=10)
     p.add_argument("--seed", type=_int_arg, default=0)
     p.add_argument("--omega-rule", default="log4")
@@ -267,15 +276,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_blocks(args) -> int:
     kernel = _kernel_from_args(args)
-    fields = [
-        "m",
-        "n",
-        "n_blocks",
-        "adjacent_connect_freq",
-        "nonadjacent_connect_freq",
-        "samples",
-        "replicates",
-    ]
+    fields = ["m", "n", "n_blocks", "adjacent_connect_freq", "nonadjacent_connect_freq",
+              "samples", "replicates"]
     # Block algebra requires m | n: round n down per block size and record it.
     groups: dict[int, list[int]] = {}
     for m in args.ms:
@@ -285,25 +287,10 @@ def cmd_blocks(args) -> int:
     for n_adj, ms in sorted(groups.items()):
         params = ModelParams(n=n_adj, c=args.c, kernel=kernel, seed=args.seed)
         stats = experiments.block_connectivity(
-            params,
-            tuple(ms),
-            replicates=args.reps,
-            pairs_cap=args.pairs_cap,
-            nonadjacent_distance=args.block_distance,
-            workers=args.workers,
+            params, tuple(ms), replicates=args.reps, pairs_cap=args.pairs_cap,
+            nonadjacent_distance=args.block_distance, workers=args.workers,
         )
-        for st in stats:
-            rows.append(
-                {
-                    "m": st.m,
-                    "n": n_adj,
-                    "n_blocks": st.n_blocks,
-                    "adjacent_connect_freq": st.adjacent_connect_freq,
-                    "nonadjacent_connect_freq": st.nonadjacent_connect_freq,
-                    "samples": st.samples,
-                    "replicates": st.replicates,
-                }
-            )
+        rows.extend({"n": n_adj, **asdict(st)} for st in stats)
     rows.sort(key=lambda r: r["m"])
     experiments.write_rows_csv(args.out, fields, rows)
     _sidecar(args.out, _config_echo(args, "blocks"))
@@ -315,18 +302,8 @@ def cmd_triangles(args) -> int:
     kernel = _kernel_from_args(args)
     params = ModelParams(n=args.n, c=args.c, kernel=kernel, seed=args.seed)
     fields = ["replicate", "triangles_per_vertex", "mean_degree", "second_neighbors_per_vertex"]
-    rows = []
-    for rep in range(args.reps):
-        graph = sample_fast(params, replicate=rep)
-        st = experiments.triangle_stats(graph)
-        rows.append(
-            {
-                "replicate": rep,
-                "triangles_per_vertex": st.triangles_per_vertex,
-                "mean_degree": st.mean_degree,
-                "second_neighbors_per_vertex": st.second_neighbors_per_vertex,
-            }
-        )
+    stats = experiments.triangle_replicates(params, args.reps)
+    rows = [{"replicate": rep, **asdict(st)} for rep, st in enumerate(stats)]
     experiments.write_rows_csv(args.out, fields, rows)
     _sidecar(args.out, _config_echo(args, "triangles"))
     mean_t = sum(r["triangles_per_vertex"] for r in rows) / len(rows)
@@ -338,14 +315,8 @@ def cmd_sprinkle(args) -> int:
     kernel = _kernel_from_args(args)
     omega = omega_for(str(args.omega), args.n)
     result = experiments.sprinkling_experiment(
-        n=args.n,
-        kernel=kernel,
-        c_prime=args.cprime,
-        delta=args.delta,
-        omega=omega,
-        replicates=args.reps,
-        master_seed=args.seed,
-        workers=args.workers,
+        n=args.n, kernel=kernel, c_prime=args.cprime, delta=args.delta, omega=omega,
+        replicates=args.reps, master_seed=args.seed, workers=args.workers,
     )
     fields = ["replicate", "b_fraction", "merged", "fraction_before", "fraction_after", "nested_ok"]
     rows = [asdict(r) for r in result.records]

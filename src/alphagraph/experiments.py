@@ -3,6 +3,17 @@
 Each driver samples replicate graphs on deterministic value-derived streams,
 so a given (spec, master_seed) always produces bit-identical results,
 regardless of worker count or scheduling.
+
+Every driver runs its replicates through one runner, _run_replicates.  It
+cuts each cell's replicates into runs of consecutive replicates
+(_replicate_jobs), maps the driver's run function over a process pool (or
+serially, with one worker or one run) and returns each cell's results in
+replicate order.  One failure policy holds for all of them: the first run
+of a cell that raises, in replicate order, becomes the cell's error,
+written "replicates [start, stop): Type: message".  The grid drivers
+(run_sweep, conjecture_probe) record it in the failing cell and go on; the
+single-parameter drivers (block_connectivity, sprinkling_experiment,
+triangle_replicates) raise it as a RuntimeError.
 """
 
 from __future__ import annotations
@@ -42,6 +53,7 @@ __all__ = [
     "conjecture_probe",
     "TriangleStats",
     "triangle_stats",
+    "triangle_replicates",
     "BlockStats",
     "block_connectivity",
     "SprinkleRecord",
@@ -74,12 +86,71 @@ def resolve_workers(workers: int | None) -> int:
     return max(1, workers)
 
 
-def _map_jobs(fn, jobs: list, workers: int) -> list:
+# ---------------------------------------------------------------------------
+# The replicate runner
+# ---------------------------------------------------------------------------
+
+# A multi-worker run is cut into about this many jobs per worker or more, so
+# that a one-cell run still spreads over every worker.
+_JOBS_PER_WORKER = 8
+
+
+def _replicate_jobs(ns: list[int], replicates: int, workers: int) -> list[tuple[int, int, int]]:
+    """(cell, start, stop) per job: consecutive replicates of one cell.
+
+    One job per cell with one worker.  With several, a job holds at most
+    1/(_JOBS_PER_WORKER * workers) of the run's vertices, or one replicate.
+    """
+    if workers <= 1:
+        return [(cell, 0, replicates) for cell in range(len(ns))]
+    budget = -(-replicates * sum(ns) // (_JOBS_PER_WORKER * workers))
+    jobs = []
+    for cell, n in enumerate(ns):
+        step = max(1, budget // n)
+        jobs.extend((cell, s, min(s + step, replicates)) for s in range(0, replicates, step))
+    return jobs
+
+
+def _run_job(job) -> list | RuntimeError:
+    """One run's results, or its exception named by its replicates."""
+    run, cell, start, stop = job
+    try:
+        return run(*cell, start, stop)
+    except Exception as exc:  # noqa: BLE001 - the drivers apply the failure policy
+        return RuntimeError(f"replicates [{start}, {stop}): {type(exc).__name__}: {exc}")
+
+
+def _run_replicates(run, cells: list[tuple], replicates: int, workers: int) -> list:
+    """Each cell's run(*cell, start, stop) results, in replicate order.
+
+    A cell is a tuple whose first item is its ModelParams; run returns a
+    list with one result per replicate in [start, stop).  A cell with a
+    failing run gets that run's RuntimeError instead of a list (the first
+    one in replicate order), whatever the worker count.
+    """
+    if replicates < 1:
+        raise ValueError("need replicates >= 1")
+    spans = _replicate_jobs([cell[0].n for cell in cells], replicates, workers)
+    jobs = [(run, cells[cell], start, stop) for cell, start, stop in spans]
     if workers <= 1 or len(jobs) <= 1:
-        return [fn(job) for job in jobs]
-    chunk = max(1, len(jobs) // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs, chunksize=chunk))
+        outputs = map(_run_job, jobs)
+    else:
+        chunk = max(1, len(jobs) // (workers * _JOBS_PER_WORKER))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outputs = list(pool.map(_run_job, jobs, chunksize=chunk))
+    results: list = [[] for _ in cells]
+    for (cell, _start, _stop), out in zip(spans, outputs):
+        if isinstance(results[cell], list):  # else the cell's first error stands
+            results[cell] = out if isinstance(out, RuntimeError) else results[cell] + out
+    return results
+
+
+def _run_one(run, cell: tuple, replicates: int, workers: int) -> list:
+    """_run_replicates for a single cell, whose error is raised."""
+    (out,) = _run_replicates(run, [cell], replicates, workers)
+    if isinstance(out, RuntimeError):
+        raise out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +219,6 @@ class SweepResult:
 # n=1024 cost 115-140 us at 2^14 vertices and ~230 us at 2^18 or more.
 # n=1e6 is one replicate per pass.
 _BATCH_VERTICES = 1 << 14
-# A multi-worker sweep is cut into about this many jobs per worker or more,
-# so that a one-cell sweep still spreads over every worker.
-_JOBS_PER_WORKER = 8
 
 
 def _batch_stats(
@@ -185,38 +253,10 @@ def _batch_stats(
     return top[:, n - 1], top[:, n - 2], b_count
 
 
-def _replicate_job(args) -> tuple:
-    """Replicates [start, stop) of one cell, labelled ``batch`` replicates per pass.
-
-    Returns ("ok", largest, second-largest, b_count) as arrays in replicate
-    order, or ("err", message) for the first error raised.
-    """
-    kernel, n, c, seed, start, stop, batch, omega = args
-    try:
-        params = ModelParams(n=n, c=c, kernel=kernel, seed=seed)
-        stats = [
-            _batch_stats(params, s, min(s + batch, stop), omega) for s in range(start, stop, batch)
-        ]
-        return ("ok", *(np.concatenate(column) for column in zip(*stats)))
-    except Exception as exc:  # noqa: BLE001 - cell failures are recorded, not fatal
-        return ("err", f"{type(exc).__name__}: {exc}")
-
-
-def _replicate_jobs(ns: list[int], replicates: int, workers: int) -> list[tuple[int, int, int]]:
-    """(cell, start, stop) per job: consecutive replicates of one cell.
-
-    One job per cell with one worker.  With several, a job holds at most
-    1/(_JOBS_PER_WORKER * workers) of the sweep's vertices, or one replicate.
-    """
-    if workers <= 1:
-        return [(cell, 0, replicates) for cell in range(len(ns))]
-    total = replicates * sum(max(n, 1) for n in ns)
-    budget = -(-total // (_JOBS_PER_WORKER * workers))
-    jobs = []
-    for cell, n in enumerate(ns):
-        step = max(1, budget // max(n, 1))
-        jobs.extend((cell, s, min(s + step, replicates)) for s in range(0, replicates, step))
-    return jobs
+def _sweep_run(params: ModelParams, batch: int, omega: int, start: int, stop: int) -> list:
+    """[largest, second-largest, b_count] per replicate, ``batch`` replicates per pass."""
+    stats = [_batch_stats(params, s, min(s + batch, stop), omega) for s in range(start, stop, batch)]
+    return np.concatenate([np.stack(columns, axis=1) for columns in stats]).tolist()
 
 
 def _run_cells(
@@ -229,69 +269,43 @@ def _run_cells(
 ) -> list[CellResult]:
     """Sample every replicate of every cell, in batches, and summarize each cell.
 
-    Each job is a run of consecutive replicates of one cell (see
-    _replicate_jobs).  It works through them in batches of at most
-    _BATCH_VERTICES vertices: each replicate is drawn on its own stream,
-    and one labelling pass over the batch's disjoint union gives every
-    replicate's statistics (see _batch_stats).  The statistics are gathered
-    back in replicate order, so results depend neither on the worker count
-    nor on the batching.  A cell with a failing job records the first error
-    and NaN statistics; other cells go on.
+    Each run of consecutive replicates of a cell works through them in
+    batches of at most _BATCH_VERTICES vertices: each replicate is drawn on
+    its own stream, and one labelling pass over the batch's disjoint union
+    gives every replicate's statistics (see _batch_stats).  Results depend
+    neither on the worker count nor on the batching.  A failing cell records
+    its error and NaN statistics; other cells go on.
     """
-    workers = resolve_workers(workers)
-    omegas = [omega_for(omega_rule, n) for _kernel, _alpha, _c, n in cells]
-    spans = _replicate_jobs([n for *_, n in cells], replicates, workers)
-    jobs = []
-    for cell, start, stop in spans:
-        kernel, _alpha, c, n = cells[cell]
-        batch = max(1, _BATCH_VERTICES // max(n, 1))
-        jobs.append((kernel, n, c, master_seed, start, stop, batch, omegas[cell]))
-    outputs = _map_jobs(_replicate_job, jobs, workers)
-    per_cell: list[list[tuple]] = [[] for _ in cells]
-    for (cell, _start, _stop), out in zip(spans, outputs):
-        per_cell[cell].append(out)
-
+    runs = [
+        (ModelParams(n=n, c=c, kernel=kernel, seed=master_seed),
+         max(1, _BATCH_VERTICES // n), omega_for(omega_rule, n))
+        for kernel, _alpha, c, n in cells
+    ]
+    outputs = _run_replicates(_sweep_run, runs, replicates, resolve_workers(workers))
     results: list[CellResult] = []
-    for (kernel, alpha, c, n), omega, outs in zip(cells, omegas, per_cell):
-        errors = [o[1] for o in outs if o[0] == "err"]
+    for (kernel, alpha, c, n), (_params, _batch, omega), out in zip(cells, runs, outputs):
         predicted = None
         if predict == "always" or (predict == "alpha<=1" and alpha is not None and alpha <= 1):
             predicted = rho_limit(c) if c > 0 else 0.0
-        base = dict(
-            kernel=kernel.spec_string(),
-            alpha=alpha,
-            c=c,
-            n=n,
-            replicates=replicates,
-            omega=omega,
-            predicted_rho=predicted,
-        )
-        if errors:
-            results.append(
-                CellResult(
-                    **base,
-                    mean_fraction=math.nan,
-                    std_fraction=math.nan,
-                    min_fraction=math.nan,
-                    max_fraction=math.nan,
-                    mean_second_fraction=math.nan,
-                    mean_b_fraction=math.nan,
-                    error=errors[0],
-                )
-            )
-            continue
-        fr, second, bfr = (
-            np.concatenate([o[k] for o in outs]).astype(np.float64) / n for k in (1, 2, 3)
-        )
+        error = str(out) if isinstance(out, RuntimeError) else None
+        stats = np.full((1, 3), math.nan) if error else np.array(out, dtype=np.float64) / n
+        fr, second, bfr = stats.T
         results.append(
             CellResult(
-                **base,
+                kernel=kernel.spec_string(),
+                alpha=alpha,
+                c=c,
+                n=n,
+                replicates=replicates,
+                omega=omega,
                 mean_fraction=float(fr.mean()),
                 std_fraction=float(fr.std()),
                 min_fraction=float(fr.min()),
                 max_fraction=float(fr.max()),
                 mean_second_fraction=float(second.mean()),
                 mean_b_fraction=float(bfr.mean()),
+                predicted_rho=predicted,
+                error=error,
             )
         )
     return results
@@ -414,6 +428,15 @@ def triangle_stats(graph: Graph) -> TriangleStats:
     )
 
 
+def _triangle_run(params: ModelParams, start: int, stop: int) -> list[TriangleStats]:
+    return [triangle_stats(sample_fast(params, replicate=rep)) for rep in range(start, stop)]
+
+
+def triangle_replicates(params: ModelParams, replicates: int) -> list[TriangleStats]:
+    """triangle_stats of replicates 0, ..., replicates-1, in one process."""
+    return _run_one(_triangle_run, (params,), replicates, workers=1)
+
+
 # ---------------------------------------------------------------------------
 # Block renormalization
 # ---------------------------------------------------------------------------
@@ -438,31 +461,35 @@ def _block_pair_index(bu: np.ndarray, bv: np.ndarray, dist: int, nb: int) -> np.
     return np.unique(np.concatenate([bu[forward], bv[backward]]))
 
 
-def _block_replicate_task(args) -> tuple:
-    kernel, n, c, seed, rep, ms, pairs_cap, nonadj_dist = args
-    params = ModelParams(n=n, c=c, kernel=kernel, seed=seed)
-    graph = sample_fast(params, replicate=rep)
-    u = graph.edges[:, 0]
-    v = graph.edges[:, 1]
+def _block_run(
+    params: ModelParams, ms: tuple[int, ...], pairs_cap: int, nonadj_dist: int, start: int, stop: int
+) -> list[list[tuple[int, int, int, int]]]:
+    """Per replicate, per m: (adjacent hits, nb, non-adjacent hits, sampled pairs)."""
+    n = params.n
     out = []
-    for m in ms:
-        nb = n // m
-        bu = u // m
-        bv = v // m
-        off = bu != bv
-        buo, bvo = bu[off], bv[off]
-        # Adjacent pairs: all nb ring-adjacent block pairs.
-        adj_present = _block_pair_index(buo, bvo, 1, nb)
-        # Non-adjacent pairs at the probed circular block distance.
-        non_present = _block_pair_index(buo, bvo, nonadj_dist, nb)
-        if nb <= pairs_cap:
-            sampled = np.arange(nb)
-        else:
-            srng = stream(seed, "blocks:pairs", kernel.spec_string(), n, float(c), rep, m)
-            sampled = srng.choice(nb, size=pairs_cap, replace=False)
-        non_hits = int(np.isin(sampled, non_present).sum())
-        out.append((int(adj_present.size), nb, non_hits, int(sampled.size)))
-    return tuple(out)
+    for rep in range(start, stop):
+        u, v = sample_fast(params, replicate=rep).edges.T
+        per_m = []
+        for m in ms:
+            nb = n // m
+            bu = u // m
+            bv = v // m
+            off = bu != bv
+            buo, bvo = bu[off], bv[off]
+            # Adjacent pairs: all nb ring-adjacent block pairs.
+            adj_present = _block_pair_index(buo, bvo, 1, nb)
+            # Non-adjacent pairs at the probed circular block distance.
+            non_present = _block_pair_index(buo, bvo, nonadj_dist, nb)
+            if nb <= pairs_cap:
+                sampled = np.arange(nb)
+            else:
+                srng = stream(params.seed, "blocks:pairs", params.kernel.spec_string(), n,
+                              float(params.c), rep, m)
+                sampled = srng.choice(nb, size=pairs_cap, replace=False)
+            non_hits = int(np.isin(sampled, non_present).sum())
+            per_m.append((adj_present.size, nb, non_hits, sampled.size))
+        out.append(per_m)
+    return out
 
 
 def block_connectivity(
@@ -492,33 +519,26 @@ def block_connectivity(
             raise ValueError(f"block size {m} must divide n={n}")
         if m > n // 4:
             raise ValueError(f"block size {m} leaves fewer than 4 blocks (n={n})")
+        if nonadjacent_distance > n // m // 2:
+            raise ValueError(f"block distance {nonadjacent_distance} exceeds half the "
+                             f"{n // m} blocks of size {m}")
     if nonadjacent_distance < 2:
         raise ValueError("non-adjacent block distance must be >= 2")
-    if replicates < 1:
-        raise ValueError("need replicates >= 1")
-    workers = resolve_workers(workers)
-    jobs = [
-        (params.kernel, n, params.c, params.seed, rep, tuple(ms), pairs_cap, nonadjacent_distance)
-        for rep in range(replicates)
-    ]
-    outputs = _map_jobs(_block_replicate_task, jobs, workers)
-    stats = []
-    for idx, m in enumerate(ms):
-        adj_hits = sum(o[idx][0] for o in outputs)
-        adj_total = sum(o[idx][1] for o in outputs)
-        non_hits = sum(o[idx][2] for o in outputs)
-        non_total = sum(o[idx][3] for o in outputs)
-        stats.append(
-            BlockStats(
-                m=m,
-                n_blocks=n // m,
-                adjacent_connect_freq=adj_hits / adj_total,
-                nonadjacent_connect_freq=non_hits / non_total,
-                samples=non_total,
-                replicates=replicates,
-            )
+    if pairs_cap < 1:
+        raise ValueError(f"need pairs_cap >= 1, got {pairs_cap}")
+    cell = (params, tuple(ms), pairs_cap, nonadjacent_distance)
+    counts = np.sum(_run_one(_block_run, cell, replicates, resolve_workers(workers)), axis=0)
+    return [
+        BlockStats(
+            m=m,
+            n_blocks=n // m,
+            adjacent_connect_freq=adj_hits / adj_total,
+            nonadjacent_connect_freq=non_hits / non_total,
+            samples=non_total,
+            replicates=replicates,
         )
-    return stats
+        for m, (adj_hits, adj_total, non_hits, non_total) in zip(ms, counts.tolist())
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -568,25 +588,33 @@ def _edges_subset(inner: np.ndarray, outer: np.ndarray, n: int) -> bool:
     return bool(np.all(outer_keys[pos] == inner_keys))
 
 
-def _sprinkle_task(args) -> SprinkleRecord:
-    kernel, n, c_prime, delta, omega, seed, rep = args
-    filt = sample_filtration(n, kernel, c_prime + delta, seed, replicate=rep)
-    before = subgraph_at(filt, c_prime)
-    after = subgraph_at(filt, c_prime + delta)
+def _sprinkle_run(
+    params: ModelParams, c_prime: float, omega: int, start: int, stop: int
+) -> list[SprinkleRecord]:
+    """One record per replicate; params.c is the upper level c' + delta."""
+    n = params.n
+    records = []
+    for rep in range(start, stop):
+        filt = sample_filtration(n, params.kernel, params.c, params.seed, replicate=rep)
+        before = subgraph_at(filt, c_prime)
+        after = subgraph_at(filt, params.c)
 
-    labels1, sizes1 = component_labels(before)
-    b_mask = sizes1[labels1] >= omega
-    labels2, sizes2 = component_labels(after)
-    merged = bool(np.unique(labels2[b_mask]).size <= 1)
-    nested = _edges_subset(before.edges, after.edges, n)
-    return SprinkleRecord(
-        replicate=rep,
-        b_fraction=float(b_mask.sum() / n),
-        merged=merged,
-        fraction_before=float(sizes1.max() / n),
-        fraction_after=float(sizes2.max() / n),
-        nested_ok=nested,
-    )
+        labels1, sizes1 = component_labels(before)
+        b_mask = sizes1[labels1] >= omega
+        labels2, sizes2 = component_labels(after)
+        merged = bool(np.unique(labels2[b_mask]).size <= 1)
+        nested = _edges_subset(before.edges, after.edges, n)
+        records.append(
+            SprinkleRecord(
+                replicate=rep,
+                b_fraction=float(b_mask.sum() / n),
+                merged=merged,
+                fraction_before=float(sizes1.max() / n),
+                fraction_after=float(sizes2.max() / n),
+                nested_ok=nested,
+            )
+        )
+    return records
 
 
 def sprinkling_experiment(
@@ -614,20 +642,15 @@ def sprinkling_experiment(
         raise ValueError(f"need delta >= 0, got {delta}")
     if omega < 1:
         raise ValueError(f"need omega >= 1, got {omega}")
-    if replicates < 1:
-        raise ValueError("need replicates >= 1")
-    workers = resolve_workers(workers)
-    jobs = [
-        (kernel, n, c_prime, delta, omega, master_seed, rep) for rep in range(replicates)
-    ]
-    records = _map_jobs(_sprinkle_task, jobs, workers)
+    params = ModelParams(n=n, c=c_prime + delta, kernel=kernel, seed=master_seed)
+    records = _run_one(_sprinkle_run, (params, c_prime, omega), replicates, resolve_workers(workers))
     return SprinklingResult(
         n=n,
         kernel=kernel.spec_string(),
         c_prime=c_prime,
         delta=delta,
         omega=omega,
-        records=list(records),
+        records=records,
     )
 
 

@@ -298,6 +298,10 @@ class TestErrorPaths:
             ["sprinkle", "--n", "100", "--alpha", "1", "--cprime", "1.5", "--delta", "0.5",
              "--reps", "0"],
             ["blocks", "--n", "256", "--alpha", "3", "--c", "1", "--ms", "16", "--reps", "0"],
+            # block sizes and pair caps take the same check
+            ["blocks", "--n", "100", "--alpha", "1", "--c", "1", "--ms", "0"],
+            ["blocks", "--n", "256", "--alpha", "1", "--c", "1", "--ms", "16,-4"],
+            ["blocks", "--n", "256", "--alpha", "1", "--c", "1", "--ms", "16", "--pairs-cap", "0"],
         ],
     )
     def test_nonpositive_reps_exit_2(self, tmp_path, capsys, argv):
@@ -338,6 +342,52 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "ALPHAGRAPH_WORKERS" in err and ">= 1" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--n", "1", "--alpha", "1", "--c", "2"],
+            ["blocks", "--n", "0", "--alpha", "1", "--c", "1", "--ms", "16"],
+            ["triangles", "--n", "1", "--alpha", "1", "--c", "1"],
+            ["sprinkle", "--n", "0", "--alpha", "1", "--cprime", "1.5", "--delta", "0.5"],
+            ["sweep", "--alphas", "1", "--cs", "2", "--ns", "0"],
+            ["sweep", "--alphas", "1", "--cs", "2", "--ns", "100,1"],
+            ["probe", "--kernel", "nn", "--cs", "2", "--ns", "-5"],
+            ["gw-rho", "--c", "2", "--n", "1", "--alpha", "1"],
+        ],
+    )
+    def test_ring_sizes_below_two_exit_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "x"
+        if argv[0] != "gw-rho":
+            argv = [*argv, "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert ">= 2" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["blocks", "--n", "1000", "--c", "1", "--ms", "10", "--workers", "1"],
+            ["blocks", "--n", "1000", "--c", "1", "--ms", "10", "--workers", "2"],
+            ["sprinkle", "--n", "1000", "--cprime", "1.5", "--delta", "0.5", "--workers", "1"],
+            ["sprinkle", "--n", "1000", "--cprime", "1.5", "--delta", "0.5", "--workers", "2"],
+            ["triangles", "--n", "1000", "--c", "1"],  # one process, no --workers
+        ],
+    )
+    def test_failing_replicates_exit_1_and_are_named(self, tmp_path, capsys, argv):
+        # a kernel table too short for n fails every replicate
+        kern = tmp_path / "short.txt"
+        kern.write_text("1 1.0\n2 0.5\n")
+        out = tmp_path / "x.csv"
+        code = main([*argv, "--kernel", f"custom:{kern}", "--reps", "2", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: replicates [0, " in err and "table" in err
+        assert not out.exists()
+        assert not (tmp_path / "x.csv.json").exists()
 
     def test_inf_alpha_still_valid(self, tmp_path):
         out = tmp_path / "s.csv"

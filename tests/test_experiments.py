@@ -70,6 +70,15 @@ class TestRunSweep:
         assert bad.error is not None and "table" in bad.error
         assert math.isnan(bad.mean_fraction)
 
+    @pytest.mark.parametrize("workers, failing", [(1, "[0, 2)"), (2, "[0, 1)")])
+    def test_cell_error_names_the_failing_replicates(self, workers, failing):
+        # two workers cut the n=1000 cell into one-replicate runs; the first fails
+        short = TabulatedKernel((1.0, 0.5))
+        result = conjecture_probe(short, ns=(4, 1000), cs=(1.0,), replicates=2, master_seed=1,
+                                  workers=workers)
+        assert result.cell(n=4).error is None
+        assert result.cell(n=1000).error.startswith(f"replicates {failing}: ValueError: ")
+
     def test_omega_column_and_b_fraction(self):
         spec = SweepSpec(alphas=(0.0,), cs=(2.0,), ns=(256,), replicates=2, omega_rule="8")
         result = run_sweep(spec, workers=1)
@@ -98,9 +107,8 @@ class TestReplicateJobs:
         # batch=2: the job's 7 replicates are labelled in passes of 2+2+2+1
         params = ModelParams.make(64, 1.0, 2.0, seed=MASTER)
         whole = experiments._batch_stats(params, 0, 7, omega=8)
-        ok, *parts = experiments._replicate_job((params.kernel, 64, 2.0, MASTER, 0, 7, 2, 8))
-        assert ok == "ok"
-        for got, want in zip(parts, whole):
+        (rows,) = experiments._run_replicates(experiments._sweep_run, [(params, 2, 8)], 7, 1)
+        for got, want in zip(np.array(rows).T, whole):
             np.testing.assert_array_equal(got, want)
 
 
@@ -270,6 +278,16 @@ class TestBlocks:
             block_connectivity(params, (7,), 2)  # does not divide n
         with pytest.raises(ValueError):
             block_connectivity(params, (10,), 2, nonadjacent_distance=1)
+        with pytest.raises(ValueError, match="half"):
+            block_connectivity(params, (10,), 2, nonadjacent_distance=600)  # 100 blocks
+        with pytest.raises(ValueError, match="half"):
+            block_connectivity(params, (10,), 2, nonadjacent_distance=51)
+        with pytest.raises(ValueError, match="half"):
+            block_connectivity(params, (10, 250), 2, nonadjacent_distance=3)  # 4 blocks
+        with pytest.raises(ValueError, match="pairs_cap"):
+            block_connectivity(params, (10,), 2, pairs_cap=0)
+        (st,) = block_connectivity(params, (10,), 1, nonadjacent_distance=50)
+        assert st.samples == 100
 
     def test_zero_c_all_zero(self):
         params = ModelParams.make(256, 3.0, 0.0, seed=2)
