@@ -337,6 +337,15 @@ class TestSprinkling:
             # is merged exactly when there is at most one such component
             assert rec.nested_ok
 
+    def test_edges_subset(self):
+        edges = np.array([[0, 1], [1, 2], [2, 3]], dtype=np.int64)
+        none = np.empty((0, 2), dtype=np.int64)
+        assert experiments._edges_subset(edges[[0, 2]], edges, 4)
+        assert experiments._edges_subset(none, none, 4)
+        assert not experiments._edges_subset(edges[:1], none, 4)
+        assert not experiments._edges_subset(edges, edges[:2], 4)  # a key past the last
+        assert not experiments._edges_subset(np.array([[0, 2]]), edges, 4)
+
     def test_validation(self):
         k = PowerLawKernel(1.0)
         with pytest.raises(ValueError):
