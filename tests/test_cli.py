@@ -103,6 +103,15 @@ class TestComponentsCommand:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_ragged_file_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "ragged.edges"
+        path.write_text("# alphagraph v1 n=5 alpha=1.0 c=2.0 seed=1\n0 1\n2\n")
+        code = run(["components", "--in", str(path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "columns" in captured.err
+        assert captured.out == ""
+
 
 class TestGwRho:
     def test_poisson_value(self, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -365,3 +366,86 @@ class TestEdgeListFiles:
         path.write_text("0 1\n")
         with pytest.raises(ValueError):
             read_edge_list(path)
+
+
+HEADER = "# alphagraph v1 n=5 alpha=1.0 c=2.0 seed=1\n"
+
+
+class TestFileBodies:
+    """What the readers accept and reject, row by row."""
+
+    @pytest.mark.parametrize("body", ["", "\n", "\n\n  \n"])
+    @pytest.mark.parametrize("reader", [read_edge_list, read_filtration])
+    def test_no_rows_is_an_empty_graph_without_warning(self, tmp_path, reader, body):
+        path = tmp_path / "f"
+        path.write_text(HEADER + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            obj, header = reader(path)
+        assert obj.n == 5 and obj.num_edges == 0 and obj.edges.shape == (0, 2)
+        assert header["seed"] == 1
+
+    def test_header_without_newline(self, tmp_path):
+        path = tmp_path / "f"
+        path.write_text(HEADER.rstrip("\n"))
+        assert read_edge_list(path)[0] == Graph(5, np.empty((0, 2)))
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("0 1\n2\n", "number of columns"),  # ragged
+            ("0 1\n1 2 3\n", "number of columns"),
+            ("0 x\n", "could not convert"),  # non-integer token
+            ("0 1.5\n", "could not convert"),
+            ("0 1.0\n", "could not convert"),
+            ("-1 2\n", "out of range"),  # negative id
+            ("0 5\n", "out of range"),
+            ("0 1\n0 1\n", "duplicate-free"),  # duplicate row
+            ("0 1\n1 0\n", "duplicate-free"),  # duplicate pair, once reversed
+            ("1 1\n", "self-loops"),
+        ],
+    )
+    def test_edge_list_rejects(self, tmp_path, body, message):
+        path = tmp_path / "f"
+        path.write_text(HEADER + body)
+        with pytest.raises(ValueError, match=message):
+            read_edge_list(path)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "2 3\n0 1\n",  # unsorted rows
+            "1 0\n3 2\n",  # reversed pairs
+            "3 2\n1 0\n",
+            "0 1\n\n2 3\n\n",  # blank lines
+            "0 1\n# comment\n2 3\n",
+            "0\t1\n2  3",  # tabs, runs of blanks, no final newline
+        ],
+    )
+    def test_edge_list_accepts_and_canonicalizes(self, tmp_path, body):
+        path = tmp_path / "f"
+        path.write_text(HEADER + body)
+        graph, _ = read_edge_list(path)
+        assert graph.edges.tolist() == [[0, 1], [2, 3]]
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("0 1 0.5\n1 2\n", "number of columns"),
+            ("0 1 x\n", "could not convert"),
+            ("1 2 0.5\n0 1 0.5\n", "sorted"),  # filtrations are not re-sorted
+            ("0 4 2.5\n", "c_max"),
+        ],
+    )
+    def test_filtration_rejects(self, tmp_path, body, message):
+        path = tmp_path / "f"
+        path.write_text(HEADER + body)
+        with pytest.raises(ValueError, match=message):
+            read_filtration(path)
+
+    def test_filtration_rows(self, tmp_path):
+        path = tmp_path / "f"
+        path.write_text(HEADER + "0 1 0.5\n1 2 1.25\n")
+        filt, _ = read_filtration(path)
+        assert filt.edges.tolist() == [[0, 1], [1, 2]]
+        assert filt.activation.tolist() == [0.5, 1.25]
