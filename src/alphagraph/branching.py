@@ -72,9 +72,12 @@ class DegreePGF:
             raise ValueError("probabilities must lie in [0, 1]")
 
     def value(self, s: float) -> float:
+        # mu * log1p(-p * t) in one buffer, updated in place.
         t = 1.0 - s
+        logs = -self.p * t
         with np.errstate(divide="ignore"):
-            logs = self.mu * np.log1p(-self.p * t)
+            np.log1p(logs, out=logs)
+        np.multiply(self.mu, logs, out=logs)
         total = logs.sum()
         if total == -np.inf:
             return 0.0

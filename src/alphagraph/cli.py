@@ -65,7 +65,21 @@ def _int_at_least(low: int):
 
 
 _pos_int_arg = _int_at_least(1)  # replicate and worker counts, block sizes, pair caps
-_ring_size_arg = _int_at_least(2)  # vertex counts n
+_ring_size_arg = _int_at_least(2)  # vertex counts n, non-adjacent block distances
+
+
+def _omega_arg(text: str) -> str:
+    """Cutoff rule flag: "log4", "loglog", or an integer >= 1; kept as text.
+
+    The rule is resolved once per ring size n; resolving it at any n checks it.
+    """
+    try:
+        omega_for(text, 2)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"{exc}; expected log4, loglog or an integer >= 1"
+        ) from None
+    return text
 
 
 def _alpha_arg(text: str) -> float:
@@ -139,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ns", type=_list_arg(_ring_size_arg), required=True)
     p.add_argument("--reps", type=_pos_int_arg, default=10)
     p.add_argument("--seed", type=_int_arg, default=0)
-    p.add_argument("--omega-rule", default="log4")
+    p.add_argument("--omega-rule", type=_omega_arg, default="log4")
     p.add_argument("--workers", type=_pos_int_arg, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
@@ -153,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=_pos_int_arg, default=20)
     p.add_argument("--seed", type=_int_arg, default=0)
     p.add_argument("--pairs-cap", type=_pos_int_arg, default=1000)
-    p.add_argument("--block-distance", type=_int_arg, default=2,
+    p.add_argument("--block-distance", type=_ring_size_arg, default=2,
                    help="circular block distance probed for non-adjacent pairs")
     p.add_argument("--workers", type=_pos_int_arg, default=None)
     p.add_argument("--out", required=True)
@@ -175,7 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", type=str)
     p.add_argument("--cprime", type=_nonneg_float_arg, required=True)
     p.add_argument("--delta", type=_nonneg_float_arg, required=True)
-    p.add_argument("--omega", default="log4", help='cutoff: integer, "log4", or "loglog"')
+    p.add_argument("--omega", type=_omega_arg, default="log4",
+                   help='cutoff: integer, "log4", or "loglog"')
     p.add_argument("--reps", type=_pos_int_arg, default=20)
     p.add_argument("--seed", type=_int_arg, default=0)
     p.add_argument("--workers", type=_pos_int_arg, default=None)
@@ -188,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ns", type=_list_arg(_ring_size_arg), required=True)
     p.add_argument("--reps", type=_pos_int_arg, default=10)
     p.add_argument("--seed", type=_int_arg, default=0)
-    p.add_argument("--omega-rule", default="log4")
+    p.add_argument("--omega-rule", type=_omega_arg, default="log4")
     p.add_argument("--workers", type=_pos_int_arg, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_probe)
@@ -313,7 +328,7 @@ def cmd_triangles(args) -> int:
 
 def cmd_sprinkle(args) -> int:
     kernel = _kernel_from_args(args)
-    omega = omega_for(str(args.omega), args.n)
+    omega = omega_for(args.omega, args.n)
     result = experiments.sprinkling_experiment(
         n=args.n, kernel=kernel, c_prime=args.cprime, delta=args.delta, omega=omega,
         replicates=args.reps, master_seed=args.seed, workers=args.workers,

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+import warnings
 from functools import lru_cache
 from itertools import chain
 from pathlib import Path
@@ -62,12 +63,15 @@ class Graph:
     __slots__ = ("n", "edges", "_adj")
 
     def __init__(self, n: int, edges: np.ndarray, _validated: bool = False):
+        given = edges
         edges = np.ascontiguousarray(edges, dtype=np.int64).reshape(-1, 2)
-        if not _validated:
-            if edges.size:
-                _check_endpoint_range(n, edges)
+        if not _validated and edges.size:
+            _check_endpoint_range(n, edges)
+            if not _is_canonical(n, edges):
                 edges = canonical_edges(n, edges[:, 0], edges[:, 1])
-            _validate_edges(n, edges)
+                _validate_edges(n, edges)
+            elif isinstance(given, np.ndarray) and np.may_share_memory(edges, given):
+                edges = edges.copy()  # the graph is frozen, the caller's array is not
         edges.setflags(write=False)
         self.n = int(n)
         self.edges = edges
@@ -109,6 +113,16 @@ class Graph:
 def _check_endpoint_range(n: int, edges: np.ndarray) -> None:
     if edges.min() < 0 or edges.max() >= n:
         raise ValueError("edge endpoint out of range")
+
+
+def _is_canonical(n: int, edges: np.ndarray) -> bool:
+    """True if every row has u < v and the keys lo*n + hi strictly increase.
+
+    Endpoints must lie in [0, n).
+    """
+    u, v = edges[:, 0], edges[:, 1]
+    keys = u * np.int64(n) + v
+    return bool((u < v).all() and (keys[1:] > keys[:-1]).all())
 
 
 def _validate_edges(n: int, edges: np.ndarray) -> None:
@@ -406,12 +420,15 @@ def _format_header(n: int, alpha, c: float, seed: int) -> str:
     return f"{_HEADER_MAGIC} n={n} alpha={alpha} c={repr(float(c))} seed={seed}"
 
 
-def atomic_write(path: str | Path, write_body) -> None:
-    """Call write_body(fh) on a temp file in the destination directory, then rename."""
+def atomic_write(path: str | Path, write_body, mode: str = "w") -> None:
+    """Call write_body(fh) on a temp file in the destination directory, then rename.
+
+    The temp file is opened with ``mode``, "w" (text) or "wb" (bytes).
+    """
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, mode) as fh:
             write_body(fh)
         os.replace(tmp, path)
     except BaseException:
@@ -432,15 +449,68 @@ def _write_rows(fh, row_format: str, columns: list[np.ndarray]) -> None:
         fh.write(row_format * len(chunk[0]) % tuple(chain.from_iterable(zip(*chunk))))
 
 
+@lru_cache(maxsize=None)
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Lookup tables of _format_int_rows, built on first use.
+
+    ``words[k]`` is the uint32 whose bytes are the 4 ASCII digits of k, for
+    k < 10^4; ``words[10^4 + h]`` and ``words[10^4 + 100 + h]`` are those of
+    h < 100 with the first byte, always "0", replaced by a newline and by a
+    space.  ``masks[c]`` (3 uint32s, 12 bytes) keeps the separator and the
+    c + 1 low digits of a 12-byte field separator + 11 digits.
+    """
+    k = np.arange(10_000)
+    digits = np.column_stack([k // 1000, k // 100 % 10, k // 10 % 10, k % 10]) + ord("0")
+    seps = np.repeat(digits[:100][None], 2, axis=0)
+    seps[:, :, 0] = [[ord("\n")], [ord(" ")]]
+    words = np.concatenate([digits, *seps]).astype(np.uint8).view(np.uint32).ravel()
+    pos = np.arange(12)
+    keep = (pos == 0) | (pos >= 11 - np.arange(10)[:, None])
+    masks = keep.astype(np.uint8).view(np.uint32)
+    for table in (words, masks):
+        table.setflags(write=False)
+    return words, masks
+
+
+# 10^1 .. 10^9: an id has one digit more than the number of these it reaches.
+_POWERS_OF_TEN = [10**k for k in range(1, 10)]
+
+
+def _format_int_rows(rows: np.ndarray) -> bytes:
+    """The text of integer rows in [0, 10^10), each written as "\\n" + "%d %d ...".
+
+    Each row starts with its newline, so a file of rows is the header
+    without its newline, then these chunks, then one final newline.  Every
+    id is split into three groups of 4 digits, each group's ASCII bytes are
+    gathered from one table as a uint32, and a keep-mask drops the leading
+    zeros; the ids must fit in uint32, which every id below MAX_PAIR_KEY_N
+    does.
+    """
+    words, masks = _digit_tables()
+    x = rows.astype(np.uint32)
+    q = x // np.uint32(10_000)
+    hi = q // np.uint32(10_000)
+    sep = np.full(x.shape[1], 10_100, dtype=np.uint32)
+    sep[0] = 10_000
+    groups = np.stack([hi + sep, q - hi * np.uint32(10_000), x - q * np.uint32(10_000)], axis=2)
+    powers = np.zeros(x.shape, dtype=np.uint8)
+    for power in _POWERS_OF_TEN:
+        np.add(powers, x >= power, out=powers, casting="unsafe")
+    text = words.take(groups).view(np.uint8).ravel()
+    return text[masks.take(powers, axis=0).view(bool).ravel()].tobytes()
+
+
 def write_edge_list(path: str | Path, graph: Graph, params: ModelParams) -> None:
     """Write the v1 edge-list format: header line, then sorted "u v" rows."""
+    header = _format_header(graph.n, _kernel_to_alpha_field(params.kernel), params.c, params.seed)
 
     def body(fh):
-        fh.write(_format_header(graph.n, _kernel_to_alpha_field(params.kernel), params.c, params.seed))
-        fh.write("\n")
-        _write_rows(fh, "%d %d\n", [graph.edges[:, 0], graph.edges[:, 1]])
+        fh.write(header.encode())
+        for start in range(0, graph.num_edges, _WRITE_CHUNK_ROWS):
+            fh.write(_format_int_rows(graph.edges[start : start + _WRITE_CHUNK_ROWS]))
+        fh.write(b"\n")
 
-    atomic_write(path, body)
+    atomic_write(path, body, "wb")
 
 
 def _parse_header(line: str) -> dict:
@@ -462,19 +532,28 @@ def _parse_header(line: str) -> dict:
 
 def read_edge_list(path: str | Path) -> tuple[Graph, dict]:
     """Read a v1 edge-list file; returns (graph, header fields)."""
-    with open(path) as fh:
-        header = _parse_header(fh.readline().rstrip("\n"))
-        body = fh.read()
-    data = _parse_body(body, np.int64, 2)
+    header, data = _read_file(path, np.int64, 2)
     return Graph(header["n"], data), header
 
 
-def _parse_body(body: str, dtype, cols: int) -> np.ndarray:
-    if not body.strip():
-        return np.empty((0, cols), dtype=dtype)
-    import io
+def _read_file(path: str | Path, dtype, cols: int) -> tuple[dict, np.ndarray]:
+    """(header fields, rows) of a v1 file; rows has shape (m, cols).
 
-    return np.loadtxt(io.StringIO(body), dtype=dtype, ndmin=2)
+    np.loadtxt gets the path, not a file object: numpy's C reader then
+    reads the file in blocks, where a file object would be read line by
+    line in Python.
+    """
+    with open(path) as fh:
+        header = _parse_header(fh.readline().rstrip("\n"))
+    with warnings.catch_warnings():
+        # A file without rows holds an empty graph.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        data = np.loadtxt(path, dtype=dtype, skiprows=1, ndmin=2)
+    if data.size == 0:
+        return header, np.empty((0, cols), dtype=dtype)
+    if data.shape[1] != cols:
+        raise ValueError(f"expected {cols} columns per row, got {data.shape[1]}")
+    return header, data
 
 
 def _kernel_to_alpha_field(kernel: Kernel) -> str:
@@ -514,10 +593,7 @@ def write_filtration(path: str | Path, filtration: Filtration, seed: int) -> Non
 
 def read_filtration(path: str | Path) -> tuple[Filtration, dict]:
     """Read a filtration file; returns (filtration, header fields)."""
-    with open(path) as fh:
-        header = _parse_header(fh.readline().rstrip("\n"))
-        body = fh.read()
-    data = _parse_body(body, np.float64, 3)
+    header, data = _read_file(path, np.float64, 3)
     edges = data[:, :2].astype(np.int64)
     act = data[:, 2]
     kernel = kernel_from_alpha_field(header["alpha"])

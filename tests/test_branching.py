@@ -147,6 +147,23 @@ class TestDegreePGF:
         pgf = finite_degree_pgf(params)
         assert pgf.value(0.0) == 0.0
 
+    @pytest.mark.parametrize("n", [2, 3, 10**3, 10**6])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 3.0])
+    def test_value_bits_match_the_plain_expression(self, n, alpha):
+        pgf = finite_degree_pgf(ModelParams.make(n, alpha, 2.0))
+
+        def plain(s):
+            t = 1.0 - s
+            with np.errstate(divide="ignore"):
+                logs = pgf.mu * np.log1p(-pgf.p * t)
+            total = logs.sum()
+            return 0.0 if total == -np.inf else float(np.exp(total))
+
+        q = extinction(pgf).extinction_q
+        for s in (0.0, 1e-300, 0.2, q, 1.0 - 1e-12, 1.0):
+            assert math.copysign(1.0, pgf.value(s)) == math.copysign(1.0, plain(s))
+            assert pgf.value(s) == plain(s), s
+
     def test_infinite_alpha_rejected(self):
         with pytest.raises(ValueError):
             finite_degree_pgf(ModelParams.make(100, math.inf, 1.0))

@@ -134,6 +134,14 @@ class TestGwRho:
         assert 0.0 < payload["rho"] < 1.0
         assert payload["residual"] <= 1e-12
 
+    def test_finite_n_stdout_frozen(self, capsys):
+        assert run(["gw-rho", "--c", "2", "--n", "1e5", "--alpha", "1"]) == 0
+        assert capsys.readouterr().out == (
+            '{"q": 0.20035035905404597, "rho": 0.799649640945954, "iterations": 30, '
+            '"residual": 1.4710455076283324e-13, "config": {"command": "gw-rho", "c": 2.0, '
+            '"n": 100000, "alpha": 1.0, "tol": 1e-12}}\n'
+        )
+
     def test_finite_n_requires_alpha(self, capsys):
         assert run(["gw-rho", "--c", "2", "--n", "100"]) == 1
 
@@ -397,6 +405,44 @@ class TestErrorPaths:
         assert "error: replicates [0, " in err and "table" in err
         assert not out.exists()
         assert not (tmp_path / "x.csv.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["blocks", "--n", "256", "--alpha", "3", "--c", "1", "--ms", "16",
+              "--block-distance", "1"], "--block-distance"),
+            (["blocks", "--n", "256", "--alpha", "3", "--c", "1", "--ms", "16",
+              "--block-distance=-2"], "--block-distance"),
+            (["sprinkle", "--n", "100", "--alpha", "1", "--cprime", "1.5", "--delta", "0.5",
+              "--omega", "0"], "--omega"),
+            (["sprinkle", "--n", "100", "--alpha", "1", "--cprime", "1.5", "--delta", "0.5",
+              "--omega", "log2"], "--omega"),
+            (["sprinkle", "--n", "100", "--alpha", "1", "--cprime", "1.5", "--delta", "0.5",
+              "--omega", "2.5"], "--omega"),
+            (["sweep", "--alphas", "1", "--cs", "2", "--ns", "100", "--omega-rule", "bogus"],
+             "--omega-rule"),
+            (["sweep", "--alphas", "1", "--cs", "2", "--ns", "100", "--omega-rule=-3"],
+             "--omega-rule"),
+            (["probe", "--kernel", "nn", "--cs", "2", "--ns", "100", "--omega-rule", "bogus"],
+             "--omega-rule"),
+        ],
+    )
+    def test_malformed_cutoffs_exit_2(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("rule", ["log4", "loglog", "7"])
+    def test_cutoff_rules_accepted(self, tmp_path, rule):
+        out = tmp_path / "s.csv"
+        code = main(["sweep", "--alphas", "1", "--cs", "2", "--ns", "50", "--reps", "1",
+                     "--omega-rule", rule, "--out", str(out)])
+        assert code == 0
+        assert json.loads((tmp_path / "s.csv.json").read_text())["spec"]["omega_rule"] == rule
 
     def test_inf_alpha_still_valid(self, tmp_path):
         out = tmp_path / "s.csv"

@@ -55,6 +55,50 @@ class TestGraphType:
         with pytest.raises(ValueError, match="out of range"):
             Graph(4, np.array([row]))
 
+    @pytest.mark.parametrize("n", [2, 5, 64, 1000])
+    def test_canonical_input_and_its_permutations_are_equal(self, n):
+        canonical = sample_fast(ModelParams.make(n, 1.0, 3.0, seed=n)).edges.copy()
+        rng = np.random.default_rng(n)
+        for edges in (
+            canonical,
+            canonical[rng.permutation(len(canonical))],  # shuffled rows
+            canonical[::-1],  # reversed rows
+            canonical[:, ::-1],  # reversed pairs
+            canonical[rng.permutation(len(canonical))][:, ::-1],
+        ):
+            g = Graph(n, edges)
+            assert g == Graph(n, canonical, _validated=True)
+            assert g.edges.flags.c_contiguous and not g.edges.flags.writeable
+
+    def test_canonical_input_is_not_sorted_again(self, monkeypatch):
+        edges = sample_fast(ModelParams.make(500, 1.0, 2.0, seed=1)).edges.copy()
+
+        def no_sort(*args):
+            raise AssertionError("canonical rows were sorted again")
+
+        monkeypatch.setattr(sampler, "canonical_edges", no_sort)
+        g = Graph(500, edges)
+        assert np.array_equal(g.edges, edges)
+        # the graph does not alias the caller's array, which stays writable
+        assert not np.shares_memory(g.edges, edges) and edges.flags.writeable
+        with pytest.raises(AssertionError, match="sorted again"):
+            Graph(500, edges[::-1])
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[0, 1], [0, 1]], "duplicate-free"),  # keys not strictly increasing
+            ([[0, 2], [0, 1], [0, 1]], "duplicate-free"),
+            ([[1, 1]], "self-loops"),
+            ([[0, 1], [2, 2]], "self-loops"),
+            ([[0, 1], [1, 4]], "out of range"),
+            ([[-1, 1]], "out of range"),
+        ],
+    )
+    def test_rejects_as_before(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            Graph(4, np.array(rows))
+
     def test_adjacency_sorted_and_consistent(self):
         g = Graph(5, np.array([[0, 3], [1, 3], [2, 4], [0, 1]]))
         assert g.neighbors(3).tolist() == [0, 1]
