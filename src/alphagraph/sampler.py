@@ -451,13 +451,14 @@ def _write_rows(fh, row_format: str, columns: list[np.ndarray]) -> None:
 
 @lru_cache(maxsize=None)
 def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Lookup tables of _format_int_rows, built on first use.
+    """Lookup tables of _format_pairs, built on first use.
 
-    ``words[k]`` is the uint32 whose bytes are the 4 ASCII digits of k, for
-    k < 10^4; ``words[10^4 + h]`` and ``words[10^4 + 100 + h]`` are those of
-    h < 100 with the first byte, always "0", replaced by a newline and by a
-    space.  ``masks[c]`` (3 uint32s, 12 bytes) keeps the separator and the
-    c + 1 low digits of a 12-byte field separator + 11 digits.
+    ``words`` holds 4 ASCII bytes per uint32: entry k < 10^4 spells k with
+    leading zeros; entries 10^4 + h and 10^4 + 100 + h spell h < 100 the same
+    way, but with the first byte (always "0") replaced by a newline and by a
+    space.  An id is written as a 12-byte field: one such separator word,
+    then two words of 4 digits.  ``masks[c]`` (3 uint32s) keeps the
+    separator and the last c + 1 digits of a field.
     """
     k = np.arange(10_000)
     digits = np.column_stack([k // 1000, k // 100 % 10, k // 10 % 10, k % 10]) + ord("0")
@@ -474,25 +475,25 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
 
 # 10^1 .. 10^9: an id has one digit more than the number of these it reaches.
 _POWERS_OF_TEN = [10**k for k in range(1, 10)]
+# Offsets of the newline and space separator words in _digit_tables' words.
+_SEPARATORS = np.array([10_000, 10_100], dtype=np.uint32)
 
 
-def _format_int_rows(rows: np.ndarray) -> bytes:
-    """The text of integer rows in [0, 10^10), each written as "\\n" + "%d %d ...".
+def _format_pairs(rows: np.ndarray) -> bytes:
+    """The text of (m, 2) rows of ids in [0, 10^10), row by row "\\n%d %d".
 
-    Each row starts with its newline, so a file of rows is the header
-    without its newline, then these chunks, then one final newline.  Every
-    id is split into three groups of 4 digits, each group's ASCII bytes are
-    gathered from one table as a uint32, and a keep-mask drops the leading
-    zeros; the ids must fit in uint32, which every id below MAX_PAIR_KEY_N
+    Each row starts with its newline, so an edge-list file is the header
+    without its newline, then these chunks, then one final newline.  Each
+    id is split into groups of 4 digits, the groups' ASCII bytes are
+    gathered from one table as uint32 words, and a keep-mask drops the
+    leading zeros.  Ids must fit in uint32; every id below MAX_PAIR_KEY_N
     does.
     """
     words, masks = _digit_tables()
     x = rows.astype(np.uint32)
     q = x // np.uint32(10_000)
     hi = q // np.uint32(10_000)
-    sep = np.full(x.shape[1], 10_100, dtype=np.uint32)
-    sep[0] = 10_000
-    groups = np.stack([hi + sep, q - hi * np.uint32(10_000), x - q * np.uint32(10_000)], axis=2)
+    groups = np.stack([hi + _SEPARATORS, q - hi * np.uint32(10_000), x - q * np.uint32(10_000)], axis=2)
     powers = np.zeros(x.shape, dtype=np.uint8)
     for power in _POWERS_OF_TEN:
         np.add(powers, x >= power, out=powers, casting="unsafe")
@@ -507,7 +508,7 @@ def write_edge_list(path: str | Path, graph: Graph, params: ModelParams) -> None
     def body(fh):
         fh.write(header.encode())
         for start in range(0, graph.num_edges, _WRITE_CHUNK_ROWS):
-            fh.write(_format_int_rows(graph.edges[start : start + _WRITE_CHUNK_ROWS]))
+            fh.write(_format_pairs(graph.edges[start : start + _WRITE_CHUNK_ROWS]))
         fh.write(b"\n")
 
     atomic_write(path, body, "wb")

@@ -487,6 +487,20 @@ class TestFileBodies:
         with pytest.raises(ValueError, match=message):
             read_filtration(path)
 
+    @pytest.mark.parametrize(
+        "reader, body",
+        [
+            (read_edge_list, "0 1 2\n3 4 1\n"),  # once reshaped into the pairs 0-1, 2-3, 4-1
+            (read_edge_list, "0\n1\n"),
+            (read_filtration, "0 1\n1 2\n"),
+        ],
+    )
+    def test_wrong_column_count_rejected(self, tmp_path, reader, body):
+        path = tmp_path / "f"
+        path.write_text(HEADER + body)
+        with pytest.raises(ValueError, match="columns per row"):
+            reader(path)
+
     def test_filtration_rows(self, tmp_path):
         path = tmp_path / "f"
         path.write_text(HEADER + "0 1 0.5\n1 2 1.25\n")
