@@ -60,12 +60,11 @@ class DegreePGF:
     vectorized pass over the distance classes.
     """
 
-    __slots__ = ("p", "mu", "params")
+    __slots__ = ("p", "mu")
 
-    def __init__(self, p: np.ndarray, mu: np.ndarray, params: ModelParams | None = None):
+    def __init__(self, p: np.ndarray, mu: np.ndarray):
         self.p = np.asarray(p, dtype=np.float64)
         self.mu = np.asarray(mu, dtype=np.float64)
-        self.params = params
         if self.p.shape != self.mu.shape:
             raise ValueError("p and mu must align")
         if self.p.size and not (self.p.min() >= 0 and self.p.max() <= 1):
@@ -92,7 +91,7 @@ def finite_degree_pgf(params: ModelParams) -> DegreePGF:
     if isinstance(params.kernel, NearestNeighborKernel):
         raise ValueError("degree PGF is defined for finite-alpha kernels only")
     _, mu, _ = distance_classes(params.n)
-    return DegreePGF(class_edge_probs(params), mu, params)
+    return DegreePGF(class_edge_probs(params), mu)
 
 
 @dataclass(frozen=True)

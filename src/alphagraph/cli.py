@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: sample, components, gw-rho, sweep, blocks, triangles, sprinkle,
-probe.  All outputs are written atomically (temp file + rename) and every
-file output gets a ``<out>.json`` sidecar echoing the exact run
-configuration.  ALPHAGRAPH_WORKERS overrides --workers.
+probe.  build_parser decides whether an argv is well formed, before any
+sampling; a malformed argv exits 2.  All outputs are written atomically
+(temp file + rename) and every file output gets a ``<out>.json`` sidecar
+echoing the exact run configuration.  ALPHAGRAPH_WORKERS overrides --workers.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import json
 import math
 import sys
 from dataclasses import asdict
-from pathlib import Path
 
 from . import branching, experiments
 from .components import components, omega_for
@@ -43,51 +43,43 @@ def _float_arg(text: str) -> float:
     return value
 
 
-def _nonneg_float_arg(text: str) -> float:
-    """Finite float flag >= 0, for edge densities and density increments."""
-    value = _float_arg(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a number >= 0, got {text!r}")
-    return value
+def _at_least(parse, low, kind: str, strict: bool = False):
+    """Flag parsed by parse, then checked >= low (> low if strict); nan fails."""
+    op = ">" if strict else ">="
 
-
-def _int_at_least(low: int):
-    """Integer flag >= low."""
-
-    def parse(text: str) -> int:
-        value = _int_arg(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+    def check(text: str):
+        value = parse(text)
+        if not (value > low or value == low and not strict):
+            raise argparse.ArgumentTypeError(f"expected {kind} {op} {low}, got {text!r}")
         return value
 
-    parse.__name__ = f"integer >= {low}"
-    return parse
+    check.__name__ = f"{kind} {op} {low}"
+    return check
 
 
-_pos_int_arg = _int_at_least(1)  # replicate and worker counts, block sizes, pair caps
-_ring_size_arg = _int_at_least(2)  # vertex counts n, non-adjacent block distances
+def _text_checked(rule):
+    """Flag kept as text and checked by a library rule, whose ValueError
+    message becomes the usage error."""
+
+    def check(text: str) -> str:
+        try:
+            rule(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return text
+
+    return check
 
 
-def _omega_arg(text: str) -> str:
-    """Cutoff rule flag: "log4", "loglog", or an integer >= 1; kept as text.
-
-    The rule is resolved once per ring size n; resolving it at any n checks it.
-    """
-    try:
-        omega_for(text, 2)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"{exc}; expected log4, loglog or an integer >= 1"
-        ) from None
-    return text
-
-
-def _alpha_arg(text: str) -> float:
-    """Exponent flag: a float >= 0, or inf for the nearest-neighbor kernel."""
-    value = float(text)
-    if not value >= 0:
-        raise argparse.ArgumentTypeError(f"alpha must be >= 0 or inf, got {text!r}")
-    return value
+_alpha_arg = _at_least(float, 0, "alpha")  # inf selects the nearest-neighbor kernel
+_nonneg_float_arg = _at_least(_float_arg, 0, "number")  # edge densities, increments
+_pos_float_arg = _at_least(_float_arg, 0, "number", strict=True)  # solver tolerance
+_pos_int_arg = _at_least(_int_arg, 1, "integer")  # counts, block sizes, pair caps
+_ring_size_arg = _at_least(_int_arg, 2, "integer")  # ring sizes, block distances
+# A cutoff rule is resolved per ring size n, and resolving it at any n checks
+# it.  A custom:<path> table is read when the command runs (exit 1 if unreadable).
+_omega_arg = _text_checked(lambda rule: omega_for(rule, 2))
+_kernel_arg = _text_checked(lambda spec: spec.startswith("custom:") or parse_kernel(spec))
 
 
 def _list_arg(item):
@@ -101,36 +93,63 @@ def _list_arg(item):
 
 
 def _kernel_from_args(args) -> Kernel:
-    if getattr(args, "kernel", None):
-        return parse_kernel(args.kernel)
-    if getattr(args, "alpha", None) is None:
-        raise ValueError("one of --alpha or --kernel is required")
-    return kernel_for_alpha(args.alpha)
+    return parse_kernel(args.kernel) if args.kernel else kernel_for_alpha(args.alpha)
 
 
-def _sidecar(out: str, config: dict) -> None:
-    experiments.write_json_sidecar(str(out) + ".json", {"config": config})
+def _config_echo(args) -> dict:
+    return {k: v for k, v in vars(args).items() if k != "func"}
 
 
-def _config_echo(args, command: str) -> dict:
-    skip = {"func"}
-    cfg = {k: v for k, v in vars(args).items() if k not in skip}
-    cfg["command"] = command
-    return cfg
+def _sidecar(args, **payload) -> None:
+    """<out>.json: payload (sweep and probe pass their spec), then the config."""
+    experiments.write_json_sidecar(f"{args.out}.json", {**payload, "config": _config_echo(args)})
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that runs check(parser, args), a command's cross-flag rules."""
+
+    check = staticmethod(lambda parser, args: None)
+
+    def parse_known_args(self, args=None, namespace=None):
+        parsed, extras = super().parse_known_args(args, namespace)
+        self.check(self, parsed)
+        return parsed, extras
+
+
+def _check_gw_rho(parser, args) -> None:
+    """The finite-n degree law takes --n and a finite --alpha together."""
+    if (args.n is None) != (args.alpha is None):
+        flag = "--alpha" if args.n is None else "--n"
+        parser.error(f"argument {flag}: the finite-n law needs both --n and --alpha")
+
+
+def _check_blocks(parser, args) -> None:
+    """block_connectivity's rules, for every block size at its rounded n."""
+    for m in args.ms:
+        try:
+            experiments.check_blocks(args.n // m * m, m, args.block_distance)
+        except ValueError as exc:
+            parser.error(f"argument --ms: {exc}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="alphagraph",
         description="Ring random graphs with distance-decaying edge probabilities",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sample", help="sample one graph and write an edge-list file")
-    p.add_argument("--n", type=_ring_size_arg, required=True)
-    p.add_argument("--alpha", type=_alpha_arg)
-    p.add_argument("--kernel", type=str, help="kernel spec, e.g. powerlog:alpha=1.0,beta=1.0")
-    p.add_argument("--c", type=_nonneg_float_arg, required=True)
+    # The ring size and exactly one graph law, for every ring-model command;
+    # all but sprinkle then take the edge density --c.
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--n", type=_ring_size_arg, required=True)
+    law = model.add_mutually_exclusive_group(required=True)
+    law.add_argument("--alpha", type=_alpha_arg, help="power-law exponent, or inf")
+    law.add_argument("--kernel", type=_kernel_arg, help="e.g. powerlog:alpha=1.0,beta=1.0")
+    density = argparse.ArgumentParser(add_help=False, parents=[model])
+    density.add_argument("--c", type=_nonneg_float_arg, required=True)
+
+    p = sub.add_parser("sample", parents=[density], help="sample one graph to an edge-list file")
     p.add_argument("--seed", type=_int_arg, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)
@@ -141,10 +160,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_components)
 
     p = sub.add_parser("gw-rho", help="Galton-Watson extinction/survival probabilities")
+    p.check = _check_gw_rho
     p.add_argument("--c", type=_nonneg_float_arg, required=True)
     p.add_argument("--n", type=_ring_size_arg, help="use the exact finite-n degree law")
-    p.add_argument("--alpha", type=_alpha_arg, help="exponent for the finite-n law")
-    p.add_argument("--tol", type=_float_arg, default=branching.DEFAULT_TOL)
+    p.add_argument("--alpha", type=_nonneg_float_arg, help="exponent for the finite-n law")
+    p.add_argument("--tol", type=_pos_float_arg, default=branching.DEFAULT_TOL)
     p.set_defaults(func=cmd_gw_rho)
 
     p = sub.add_parser("sweep", help="largest-component sweep over an (alpha, c, n) grid")
@@ -158,11 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("blocks", help="block-to-block connectivity frequencies")
-    p.add_argument("--n", type=_ring_size_arg, required=True)
-    p.add_argument("--alpha", type=_alpha_arg)
-    p.add_argument("--kernel", type=str)
-    p.add_argument("--c", type=_nonneg_float_arg, required=True)
+    p = sub.add_parser("blocks", parents=[density], help="block-to-block connectivity frequencies")
+    p.check = _check_blocks
     p.add_argument("--ms", type=_list_arg(_pos_int_arg), required=True)
     p.add_argument("--reps", type=_pos_int_arg, default=20)
     p.add_argument("--seed", type=_int_arg, default=0)
@@ -173,20 +190,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_blocks)
 
-    p = sub.add_parser("triangles", help="triangle statistics over replicates")
-    p.add_argument("--n", type=_ring_size_arg, required=True)
-    p.add_argument("--alpha", type=_alpha_arg)
-    p.add_argument("--kernel", type=str)
-    p.add_argument("--c", type=_nonneg_float_arg, required=True)
+    p = sub.add_parser("triangles", parents=[density], help="triangle statistics over replicates")
     p.add_argument("--reps", type=_pos_int_arg, default=20)
     p.add_argument("--seed", type=_int_arg, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_triangles)
 
-    p = sub.add_parser("sprinkle", help="two-stage (c' then c'+delta) connectivity check")
-    p.add_argument("--n", type=_ring_size_arg, required=True)
-    p.add_argument("--alpha", type=_alpha_arg)
-    p.add_argument("--kernel", type=str)
+    p = sub.add_parser("sprinkle", parents=[model], help="connectivity at c', then at c'+delta")
     p.add_argument("--cprime", type=_nonneg_float_arg, required=True)
     p.add_argument("--delta", type=_nonneg_float_arg, required=True)
     p.add_argument("--omega", type=_omega_arg, default="log4",
@@ -198,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sprinkle)
 
     p = sub.add_parser("probe", help="fraction trends for an explicit kernel over (c, n)")
-    p.add_argument("--kernel", type=str, required=True)
+    p.add_argument("--kernel", type=_kernel_arg, required=True)
     p.add_argument("--cs", type=_list_arg(_nonneg_float_arg), required=True)
     p.add_argument("--ns", type=_list_arg(_ring_size_arg), required=True)
     p.add_argument("--reps", type=_pos_int_arg, default=10)
@@ -212,11 +222,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_sample(args) -> int:
-    kernel = _kernel_from_args(args)
-    params = ModelParams(n=args.n, c=args.c, kernel=kernel, seed=args.seed)
+    params = ModelParams(n=args.n, c=args.c, kernel=_kernel_from_args(args), seed=args.seed)
     graph = sample_fast(params)
     write_edge_list(args.out, graph, params)
-    _sidecar(args.out, _config_echo(args, "sample"))
+    _sidecar(args)
     print(f"sample: n={graph.n} edges={graph.num_edges} -> {args.out}")
     return 0
 
@@ -224,7 +233,6 @@ def cmd_sample(args) -> int:
 def cmd_components(args) -> int:
     graph, header = read_edge_list(args.infile)
     summary = components(graph)
-    fields = ["seed", "n", "alpha", "c", "largest", "second_largest", "fraction", "n_components"]
     row = {
         "seed": header["seed"],
         "n": header["n"],
@@ -235,12 +243,9 @@ def cmd_components(args) -> int:
         "fraction": summary.fraction,
         "n_components": summary.n_components,
     }
+    experiments.write_rows_csv(args.out, list(row), [row])  # stdout without --out
     if args.out:
-        experiments.write_rows_csv(args.out, fields, [row])
-        _sidecar(args.out, _config_echo(args, "components"))
-    else:
-        print(",".join(fields))
-        print(",".join(experiments._csv_value(row[k]) for k in fields))
+        _sidecar(args)
     print(
         f"components: largest={summary.largest} fraction={summary.fraction:.6g} "
         f"n_components={summary.n_components}"
@@ -250,11 +255,8 @@ def cmd_components(args) -> int:
 
 def cmd_gw_rho(args) -> int:
     if args.n is not None:
-        if args.alpha is None:
-            raise ValueError("--n requires --alpha for the finite-n degree law")
         params = ModelParams(n=args.n, c=args.c, kernel=kernel_for_alpha(args.alpha))
-        pgf = branching.finite_degree_pgf(params)
-        result = branching.extinction(pgf, args.tol)
+        result = branching.extinction(branching.finite_degree_pgf(params), args.tol)
     elif args.c <= 1.0:
         result = branching.GWResult(1.0, 0.0, 0, 0.0)
     else:
@@ -264,7 +266,7 @@ def cmd_gw_rho(args) -> int:
         "rho": result.survival_rho,
         "iterations": result.iterations,
         "residual": result.residual,
-        "config": _config_echo(args, "gw-rho"),
+        "config": _config_echo(args),
     }
     print(json.dumps(payload))
     return 0
@@ -281,10 +283,7 @@ def cmd_sweep(args) -> int:
     )
     result = experiments.run_sweep(spec, workers=args.workers)
     experiments.write_sweep_csv(args.out, result)
-    experiments.write_json_sidecar(
-        str(args.out) + ".json",
-        {"spec": result.spec, "config": _config_echo(args, "sweep")},
-    )
+    _sidecar(args, spec=result.spec)
     print(f"sweep: {len(result.cells)} cells x {args.reps} replicates -> {args.out}")
     return 0
 
@@ -296,8 +295,7 @@ def cmd_blocks(args) -> int:
     # Block algebra requires m | n: round n down per block size and record it.
     groups: dict[int, list[int]] = {}
     for m in args.ms:
-        n_adj = (args.n // m) * m
-        groups.setdefault(n_adj, []).append(m)
+        groups.setdefault(args.n // m * m, []).append(m)
     rows = []
     for n_adj, ms in sorted(groups.items()):
         params = ModelParams(n=n_adj, c=args.c, kernel=kernel, seed=args.seed)
@@ -308,35 +306,31 @@ def cmd_blocks(args) -> int:
         rows.extend({"n": n_adj, **asdict(st)} for st in stats)
     rows.sort(key=lambda r: r["m"])
     experiments.write_rows_csv(args.out, fields, rows)
-    _sidecar(args.out, _config_echo(args, "blocks"))
+    _sidecar(args)
     print(f"blocks: {len(rows)} block sizes -> {args.out}")
     return 0
 
 
 def cmd_triangles(args) -> int:
-    kernel = _kernel_from_args(args)
-    params = ModelParams(n=args.n, c=args.c, kernel=kernel, seed=args.seed)
-    fields = ["replicate", "triangles_per_vertex", "mean_degree", "second_neighbors_per_vertex"]
+    params = ModelParams(n=args.n, c=args.c, kernel=_kernel_from_args(args), seed=args.seed)
     stats = experiments.triangle_replicates(params, args.reps)
     rows = [{"replicate": rep, **asdict(st)} for rep, st in enumerate(stats)]
-    experiments.write_rows_csv(args.out, fields, rows)
-    _sidecar(args.out, _config_echo(args, "triangles"))
+    experiments.write_rows_csv(args.out, list(rows[0]), rows)
+    _sidecar(args)
     mean_t = sum(r["triangles_per_vertex"] for r in rows) / len(rows)
     print(f"triangles: mean triangles/vertex {mean_t:.6g} over {args.reps} replicates -> {args.out}")
     return 0
 
 
 def cmd_sprinkle(args) -> int:
-    kernel = _kernel_from_args(args)
-    omega = omega_for(args.omega, args.n)
     result = experiments.sprinkling_experiment(
-        n=args.n, kernel=kernel, c_prime=args.cprime, delta=args.delta, omega=omega,
-        replicates=args.reps, master_seed=args.seed, workers=args.workers,
+        n=args.n, kernel=_kernel_from_args(args), c_prime=args.cprime, delta=args.delta,
+        omega=omega_for(args.omega, args.n), replicates=args.reps, master_seed=args.seed,
+        workers=args.workers,
     )
-    fields = ["replicate", "b_fraction", "merged", "fraction_before", "fraction_after", "nested_ok"]
     rows = [asdict(r) for r in result.records]
-    experiments.write_rows_csv(args.out, fields, rows)
-    _sidecar(args.out, _config_echo(args, "sprinkle"))
+    experiments.write_rows_csv(args.out, list(rows[0]), rows)
+    _sidecar(args)
     print(
         f"sprinkle: merged {result.merged_fraction:.0%}, nesting {result.nesting_fraction:.0%} "
         f"over {args.reps} replicates -> {args.out}"
@@ -345,9 +339,8 @@ def cmd_sprinkle(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    kernel = parse_kernel(args.kernel)
     result = experiments.conjecture_probe(
-        kernel,
+        _kernel_from_args(args),
         ns=args.ns,
         cs=args.cs,
         replicates=args.reps,
@@ -356,10 +349,7 @@ def cmd_probe(args) -> int:
         workers=args.workers,
     )
     experiments.write_sweep_csv(args.out, result)
-    experiments.write_json_sidecar(
-        str(args.out) + ".json",
-        {"spec": result.spec, "config": _config_echo(args, "probe")},
-    )
+    _sidecar(args, spec=result.spec)
     print(f"probe: {len(result.cells)} cells -> {args.out}")
     return 0
 

@@ -116,7 +116,7 @@ def omega_for(rule: str, n: int) -> int:
     try:
         value = int(rule)
     except ValueError:
-        raise ValueError(f"unknown omega rule {rule!r}") from None
+        raise ValueError(f"unknown omega rule {rule!r}; use log4, loglog or an integer") from None
     if value < 1:
         raise ValueError(f"omega must be >= 1, got {value}")
     return value

@@ -22,6 +22,7 @@ import csv
 import json
 import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -498,6 +499,22 @@ def _block_run(
     return out
 
 
+def check_blocks(n: int, m: int, nonadjacent_distance: int) -> None:
+    """Raise ValueError unless block size m cuts the n-ring into 4 or more whole
+    blocks and nonadjacent_distance lies in [2, half their number]."""
+    if m < 1:
+        raise ValueError(f"need m >= 1, got {m}")
+    if n % m != 0:
+        raise ValueError(f"block size {m} must divide n={n}")
+    if m > n // 4:
+        raise ValueError(f"block size {m} leaves fewer than 4 blocks (n={n})")
+    if nonadjacent_distance < 2:
+        raise ValueError("non-adjacent block distance must be >= 2")
+    if nonadjacent_distance > n // m // 2:
+        raise ValueError(f"block distance {nonadjacent_distance} exceeds half the "
+                         f"{n // m} blocks of size {m}")
+
+
 def block_connectivity(
     params: ModelParams,
     ms: tuple[int, ...],
@@ -519,17 +536,7 @@ def block_connectivity(
     """
     n = params.n
     for m in ms:
-        if m < 1:
-            raise ValueError(f"need m >= 1, got {m}")
-        if n % m != 0:
-            raise ValueError(f"block size {m} must divide n={n}")
-        if m > n // 4:
-            raise ValueError(f"block size {m} leaves fewer than 4 blocks (n={n})")
-        if nonadjacent_distance > n // m // 2:
-            raise ValueError(f"block distance {nonadjacent_distance} exceeds half the "
-                             f"{n // m} blocks of size {m}")
-    if nonadjacent_distance < 2:
-        raise ValueError("non-adjacent block distance must be >= 2")
+        check_blocks(n, m, nonadjacent_distance)
     if pairs_cap < 1:
         raise ValueError(f"need pairs_cap >= 1, got {pairs_cap}")
     cell = (params, tuple(ms), pairs_cap, nonadjacent_distance)
@@ -579,10 +586,6 @@ class SprinklingResult:
     def nesting_fraction(self) -> float:
         return sum(r.nested_ok for r in self.records) / len(self.records)
 
-    @property
-    def mean_b_fraction(self) -> float:
-        return sum(r.b_fraction for r in self.records) / len(self.records)
-
 
 def _edges_subset(inner: np.ndarray, outer: np.ndarray, n: int) -> bool:
     inner_keys = inner[:, 0] * np.int64(n) + inner[:, 1]
@@ -605,7 +608,8 @@ def _sprinkle_run(
         labels1, sizes1 = component_labels(before)
         b_mask = sizes1[labels1] >= omega
         labels2, sizes2 = component_labels(after)
-        merged = bool(np.unique(labels2[b_mask]).size <= 1)
+        b_labels = labels2[b_mask]
+        merged = bool((b_labels == b_labels[:1]).all())  # True for an empty B too
         nested = _edges_subset(before.edges, after.edges, n)
         records.append(
             SprinkleRecord(
@@ -665,23 +669,24 @@ def sprinkling_experiment(
 def _csv_value(x) -> str:
     if x is None:
         return ""
-    if isinstance(x, bool):
-        return str(x)
     if isinstance(x, float):
         return format_float(x)
     return str(x)
 
 
-def write_rows_csv(path: str | Path, fieldnames: list[str], rows: list[dict]) -> None:
-    """CSV with floats at 17 significant digits, written atomically."""
+def write_rows_csv(path: str | Path | None, fieldnames: list[str], rows: list[dict]) -> None:
+    """CSV, floats at 17 significant digits, written atomically (to stdout if no path)."""
 
-    def body(fh):
-        writer = csv.writer(fh)
+    def body(fh, lineterminator="\r\n"):
+        writer = csv.writer(fh, lineterminator=lineterminator)
         writer.writerow(fieldnames)
         for row in rows:
             writer.writerow([_csv_value(row[k]) for k in fieldnames])
 
-    atomic_write(path, body)
+    if path:
+        atomic_write(path, body)
+    else:
+        body(sys.stdout, "\n")
 
 
 def write_sweep_csv(path: str | Path, result: SweepResult) -> None:

@@ -217,11 +217,13 @@ def parse_kernel(text: str) -> Kernel:
         if not sep:
             raise ValueError(f"bad kernel parameter {item!r} in {text!r}")
         kv[k] = float(v)
-    if head == "power":
-        return PowerLawKernel(kv.pop("alpha"))
-    if head == "powerlog":
-        return PowerLogKernel(kv.pop("alpha"), kv.pop("beta"))
-    raise ValueError(f"unknown kernel family {head!r}")
+    families = {"power": PowerLawKernel, "powerlog": PowerLogKernel}
+    if head not in families:
+        raise ValueError(f"unknown kernel family {head!r}")
+    try:
+        return families[head](**kv)
+    except TypeError:  # a missing or unknown parameter
+        raise ValueError(f"bad parameters for kernel family {head!r} in {text!r}") from None
 
 
 def ring_distance(u: int, v: int, n: int) -> int:

@@ -595,7 +595,10 @@ def write_filtration(path: str | Path, filtration: Filtration, seed: int) -> Non
 def read_filtration(path: str | Path) -> tuple[Filtration, dict]:
     """Read a filtration file; returns (filtration, header fields)."""
     header, data = _read_file(path, np.float64, 3)
-    edges = data[:, :2].astype(np.int64)
+    ids = data[:, :2]
+    if not (np.isfinite(ids) & (np.trunc(ids) == ids)).all():
+        raise ValueError("could not convert a vertex id to an integer")
+    edges = ids.astype(np.int64)
     act = data[:, 2]
     kernel = kernel_from_alpha_field(header["alpha"])
     filt = Filtration(header["n"], header["c"], kernel, edges, act)

@@ -98,6 +98,20 @@ class TestComponentsCommand:
         out = capsys.readouterr().out
         assert "seed,n,alpha,c,largest,second_largest,fraction,n_components" in out
 
+    def test_stdout_row_quotes_a_kernel_spec(self, tmp_path, capsys):
+        # the spec's comma must not split the alpha column
+        edges = tmp_path / "g.edges"
+        run(["sample", "--n", "100", "--kernel", "powerlog:alpha=1.0,beta=1.0", "--c", "1.5",
+             "--out", str(edges)])
+        out = tmp_path / "comp.csv"
+        capsys.readouterr()
+        assert run(["components", "--in", str(edges)]) == 0
+        printed = list(csv.reader(capsys.readouterr().out.splitlines()[:2]))
+        assert run(["components", "--in", str(edges), "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            assert printed == list(csv.reader(fh))
+        assert len(printed[1]) == 8 and printed[1][2] == "powerlog:alpha=1.0,beta=1.0"
+
     def test_missing_file_is_runtime_error(self, tmp_path, capsys):
         code = run(["components", "--in", str(tmp_path / "nope.edges")])
         assert code == 1
@@ -143,7 +157,9 @@ class TestGwRho:
         )
 
     def test_finite_n_requires_alpha(self, capsys):
-        assert run(["gw-rho", "--c", "2", "--n", "100"]) == 1
+        with pytest.raises(SystemExit) as exc:
+            run(["gw-rho", "--c", "2", "--n", "100"])
+        assert exc.value.code == 2
 
 
 class TestSweepCommand:
@@ -248,10 +264,68 @@ class TestErrorPaths:
         assert exc.value.code == 2
 
     def test_runtime_error_exit_1(self, tmp_path, capsys):
-        code = main(["sample", "--n", "100", "--c", "2", "--seed", "1",
-                     "--out", str(tmp_path / "x.edges")])  # no alpha/kernel
-        assert code == 1
+        # neither --alpha nor --kernel: a malformed argv, so exit 2
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--n", "100", "--c", "2", "--seed", "1",
+                  "--out", str(tmp_path / "x.edges")])
+        assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sample", "--n", "10", "--c", "1"], "one of the arguments --alpha --kernel"),
+            (["sample", "--n", "10", "--alpha", "1", "--kernel", "nn", "--c", "1"],
+             "argument --kernel:"),
+            (["sample", "--n", "10", "--kernel", "bogus", "--c", "1"], "argument --kernel:"),
+            (["sample", "--n", "10", "--kernel", "power:beta=1", "--c", "1"],
+             "argument --kernel:"),
+            (["gw-rho", "--c", "2", "--n", "100"], "argument --n:"),
+            (["gw-rho", "--c", "2", "--alpha", "1"], "argument --alpha:"),
+            (["gw-rho", "--c", "2", "--n", "100", "--alpha", "inf"], "argument --alpha:"),
+            (["gw-rho", "--c", "0.5", "--tol", "-1"], "argument --tol:"),
+            (["gw-rho", "--c", "2", "--tol", "0"], "argument --tol:"),
+            (["blocks", "--n", "1000000", "--alpha", "1", "--c", "1", "--ms", "3,500000",
+              "--reps", "4", "--workers", "1"], "argument --ms:"),
+            # 4 blocks of 64 allow block distances up to 2
+            (["blocks", "--n", "256", "--alpha", "1", "--c", "1", "--ms", "16,64",
+              "--block-distance", "3"], "argument --ms:"),
+        ],
+    )
+    def test_malformed_argv_exits_2_before_sampling(
+        self, tmp_path, capsys, monkeypatch, argv, message
+    ):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("ran before the argv was checked")
+
+        monkeypatch.setattr("alphagraph.experiments._run_replicates", no_sampling)
+        monkeypatch.setattr("alphagraph.cli.sample_fast", no_sampling)
+        monkeypatch.setattr("alphagraph.branching.extinction", no_sampling)
+        out = tmp_path / "x"
+        if argv[0] != "gw-rho":
+            argv = [*argv, "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--n", "100", "--c", "1", "--kernel"],
+            ["probe", "--cs", "1", "--ns", "100", "--kernel"],
+        ],
+    )
+    def test_unreadable_custom_kernel_exits_1(self, tmp_path, capsys, argv):
+        out = tmp_path / "x"
+        code = main([*argv, f"custom:{tmp_path / 'missing.txt'}", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "missing.txt" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv, message",

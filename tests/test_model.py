@@ -147,6 +147,9 @@ class TestKernels:
             parse_kernel("power")
         with pytest.raises(ValueError):
             parse_kernel("mystery:alpha=1")
+        for spec in ("power:beta=1", "power:alpha=1,beta=2", "powerlog:alpha=1"):
+            with pytest.raises(ValueError, match="bad parameters"):
+                parse_kernel(spec)
 
     def test_spec_string_roundtrip(self):
         for k in (PowerLawKernel(0.0), PowerLawKernel(1.5), PowerLogKernel(1.0, 1.0)):

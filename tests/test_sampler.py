@@ -477,6 +477,7 @@ class TestFileBodies:
         [
             ("0 1 0.5\n1 2\n", "number of columns"),
             ("0 1 x\n", "could not convert"),
+            ("0.5 1 0.3\n", "could not convert"),
             ("1 2 0.5\n0 1 0.5\n", "sorted"),  # filtrations are not re-sorted
             ("0 4 2.5\n", "c_max"),
         ],
