@@ -18,7 +18,7 @@ from dataclasses import asdict
 from . import branching, experiments
 from .components import components, omega_for
 from .model import Kernel, ModelParams, kernel_for_alpha, parse_kernel
-from .sampler import read_edge_list, sample_fast, write_edge_list
+from .sampler import MAX_PAIR_KEY_N, read_edge_list, sample_fast, write_edge_list
 
 __all__ = ["main"]
 
@@ -75,11 +75,24 @@ _alpha_arg = _at_least(float, 0, "alpha")  # inf selects the nearest-neighbor ke
 _nonneg_float_arg = _at_least(_float_arg, 0, "number")  # edge densities, increments
 _pos_float_arg = _at_least(_float_arg, 0, "number", strict=True)  # solver tolerance
 _pos_int_arg = _at_least(_int_arg, 1, "integer")  # counts, block sizes, pair caps
-_ring_size_arg = _at_least(_int_arg, 2, "integer")  # ring sizes, block distances
+_int_from_2_arg = _at_least(_int_arg, 2, "integer")  # block distances, gw-rho's finite-n law
 # A cutoff rule is resolved per ring size n, and resolving it at any n checks
 # it.  A custom:<path> table is read when the command runs (exit 1 if unreadable).
 _omega_arg = _text_checked(lambda rule: omega_for(rule, 2))
 _kernel_arg = _text_checked(lambda spec: spec.startswith("custom:") or parse_kernel(spec))
+
+
+def _ring_size_arg(text: str) -> int:
+    """Ring size of a sampled graph: an integer >= 2 whose pair keys fit in int64."""
+    value = _int_from_2_arg(text)
+    if value > MAX_PAIR_KEY_N:
+        raise argparse.ArgumentTypeError(
+            f"ring size {text!r} exceeds {MAX_PAIR_KEY_N}: int64 pair keys would overflow"
+        )
+    return value
+
+
+_ring_size_arg.__name__ = _int_from_2_arg.__name__  # argparse names the type in its messages
 
 
 def _list_arg(item):
@@ -162,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gw-rho", help="Galton-Watson extinction/survival probabilities")
     p.check = _check_gw_rho
     p.add_argument("--c", type=_nonneg_float_arg, required=True)
-    p.add_argument("--n", type=_ring_size_arg, help="use the exact finite-n degree law")
+    p.add_argument("--n", type=_int_from_2_arg, help="use the exact finite-n degree law")
     p.add_argument("--alpha", type=_nonneg_float_arg, help="exponent for the finite-n law")
     p.add_argument("--tol", type=_pos_float_arg, default=branching.DEFAULT_TOL)
     p.set_defaults(func=cmd_gw_rho)
@@ -184,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=_pos_int_arg, default=20)
     p.add_argument("--seed", type=_int_arg, default=0)
     p.add_argument("--pairs-cap", type=_pos_int_arg, default=1000)
-    p.add_argument("--block-distance", type=_ring_size_arg, default=2,
+    p.add_argument("--block-distance", type=_int_from_2_arg, default=2,
                    help="circular block distance probed for non-adjacent pairs")
     p.add_argument("--workers", type=_pos_int_arg, default=None)
     p.add_argument("--out", required=True)

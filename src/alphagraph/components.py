@@ -60,23 +60,30 @@ def _label_edges(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Component label of each of n vertices joined by the edges (u[i], v[i]).
 
     Each label is the smallest vertex id in its component.  Edges need no
-    order and may repeat.
+    order and may repeat; self-loops are allowed.  A round hooks the larger
+    endpoint label of each live edge onto the smaller one, then compresses
+    every label to its root.  Every vertex is its own root before the first
+    round, so that round hooks the endpoints themselves, with no gather or
+    live mask; a self-loop hooks a vertex onto itself, which changes nothing.
+    Later rounds keep only the edges whose endpoints still have different
+    roots.
     """
     label = np.arange(n, dtype=np.int64)
+    lu, lv = u, v
     while True:
-        lu, lv = label[u], label[v]
-        live = lu != lv
-        if not live.any():
-            return label
         # Labels are roots here (label[r] == r), so hooking each larger root
         # onto its smallest neighbouring root merges whole trees at once.
-        u, v, lu, lv = u[live], v[live], lu[live], lv[live]
         np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
         while True:
             hop = label[label]
             if not (hop != label).any():
                 break
             label = hop
+        lu, lv = label[u], label[v]
+        live = lu != lv
+        if not live.any():
+            return label
+        u, v, lu, lv = u[live], v[live], lu[live], lv[live]
 
 
 def component_labels(graph: Graph) -> tuple[np.ndarray, np.ndarray]:

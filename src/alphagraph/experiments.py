@@ -244,7 +244,7 @@ def _batch_stats(
         if rep > start:
             rekey(rng, _fast_key(params, rep))
         draws.append(_sample_indices(rng, tables))
-    _, u, v = _decode_indices(n, tables[2], np.concatenate(draws))
+    _, u, v = _decode_indices(n, np.concatenate(draws))
     shift = np.repeat(np.arange(r, dtype=np.int64) * n, [idx.size for idx in draws])
     u += shift
     v += shift

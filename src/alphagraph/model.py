@@ -270,7 +270,7 @@ def _normalizer_value(n: int, kernel: Kernel) -> float:
     # Compensated summation: the h-based probabilities feed 1e-12-relative
     # normalization identities, so plain left-to-right accumulation is not
     # good enough at n ~ 1e6.
-    return math.fsum(contrib.tolist())
+    return math.fsum(memoryview(contrib))
 
 
 def normalizer(n: int, kernel: Kernel) -> Normalizer:

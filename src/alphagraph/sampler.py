@@ -142,8 +142,9 @@ def _pair_keys(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _keys_to_rows(n: int, keys: np.ndarray) -> np.ndarray:
-    lo, hi = np.divmod(keys, np.int64(n))
-    return np.column_stack([lo, hi])
+    rows = np.empty((keys.shape[0], 2), dtype=np.int64)
+    np.divmod(keys, np.int64(n), out=(rows[:, 0], rows[:, 1]))
+    return rows
 
 
 def canonical_edges(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -252,7 +253,7 @@ def sample_naive(params: ModelParams, replicate: int = 0, max_n: int = NAIVE_GUA
     if n > max_n:
         raise ValueError(f"sample_naive is O(n^2); n={n} exceeds guard {max_n}")
     rng = stream(params.seed, "sample:naive", params.kernel.spec_string(), n, float(params.c), replicate)
-    p_class = _class_tables(n, params.c, params.kernel)[1]
+    _, _, p_class = _class_tables(n, params.c, params.kernel)
     us, vs = [], []
     r0 = 0
     while r0 < n - 1:
@@ -264,26 +265,78 @@ def sample_naive(params: ModelParams, replicate: int = 0, max_n: int = NAIVE_GUA
     return Graph(n, edges, _validated=True)
 
 
+def _repeat_mask(keys: np.ndarray) -> np.ndarray:
+    """True where an entry of the sorted array ``keys`` equals its predecessor."""
+    repeat = np.zeros(keys.shape, dtype=bool)
+    np.equal(keys[1:], keys[:-1], out=repeat[1:])
+    return repeat
+
+
+def _draw_members(
+    rng: np.random.Generator, n: int, m_pairs: np.ndarray, cls: np.ndarray
+) -> np.ndarray:
+    """One uniform member of class cls[i] per entry, as a global pair index.
+
+    The members are cls * n + rng.integers(0, m_pairs[cls]), for ascending
+    cls.  Every class holds n pairs except the last one at even n, whose
+    entries end cls, so the draw takes at most two scalar bounds.  numpy
+    fills a scalar-bound draw with the routine it runs per element for an
+    array of bounds, so the values and the generator's state after the
+    draw are the same; the fill skips the per-element bound handling (at
+    10^6 draws, 8 ms against 25 ms).
+    """
+    last = m_pairs.size - 1
+    head = cls.size
+    if cls[-1] == last and m_pairs[last] != n:
+        head = int(np.searchsorted(cls, last))
+    draws = rng.integers(0, n, size=head)
+    if head < cls.size:
+        draws = np.concatenate([draws, rng.integers(0, m_pairs[last], size=cls.size - head)])
+    draws += cls * n
+    return draws
+
+
+# Smallest chosen set that a rejection round merges its new draws into; a
+# smaller one is re-sorted together with them.  One round's cost in us, by
+# chosen-set size and draws per round (best of 7 timeit runs, 2 shared
+# cores, numpy 2.4.6):
+#     size                1024   2048   4096   8192  16384
+#     re-sort,  8 draws     20     29     50     91    176
+#     merge,    8 draws     35     36     37     47     51
+#     re-sort, 32 draws     22     33     55     95    186
+#     merge,   32 draws     39     42     44     48     58
+# The merge's fixed cost (np.insert, searchsorted) loses below ~3000 keys.
+_MERGE_MIN_CHOSEN = 4096
+
+
 def _select_class_members(
-    rng: np.random.Generator,
-    m_pairs: np.ndarray,
-    counts: np.ndarray,
-    offsets: np.ndarray,
+    rng: np.random.Generator, n: int, m_pairs: np.ndarray, counts: np.ndarray
 ) -> np.ndarray:
     """Choose counts[j] distinct members of each class, as global pair indices.
 
-    Classes are intervals [offsets[j], offsets[j]+m_pairs[j]) of an implicit
-    global pair index.  Clamped classes (count == m) are emitted whole;
-    dense classes use a partial shuffle; sparse classes are filled by
-    vectorized rejection across all classes at once.  The first round draws
-    every member with replacement; each round merges its draws into the
-    chosen set by one sort and drops repeats with an adjacent-difference
-    mask.  Each repeat stands for one member its class still lacks, and the
-    sort leaves the repeats in ascending class order, so the next round
-    redraws exactly one member in the class of each repeat.  The rounds end
-    when one leaves no repeat, and make no draw if no class is sparse.  The
-    per-class cost stays proportional to the number of selected pairs.  The
-    result is a concatenation of sorted runs, not sorted as a whole.
+    Class j holds the global pair indices [j*n, j*n + m_pairs[j]) (see
+    _decode_indices).  Clamped classes (count == m) are emitted whole; dense
+    classes use a partial shuffle; sparse classes are filled by vectorized
+    rejection across all classes at once.  The first round draws every
+    member with replacement; each later round redraws one member in the
+    class of each repeat.  The chosen set stays sorted and unique:
+
+    * below _MERGE_MIN_CHOSEN keys, a round re-sorts it together with its
+      draws and drops repeats with an adjacent-difference mask;
+    * from there on, a round sorts only its own draws, marks a draw as a
+      repeat if it equals its predecessor or is already chosen (one
+      searchsorted), and inserts the fresh ones.  At 4096 chosen keys this
+      costs 37 us against 50 us for the re-sort, and its cost barely grows
+      with the set (51 us against 176 us at 16384).  At n=1e6 every
+      round after the first merges: 3 rounds at alpha=1, c=2 and 14 at
+      alpha=3, c=0.9.
+
+    Either way the repeats come out in ascending order, so the class list of
+    the next round, and with it every draw, does not depend on which way a
+    round went.  The rounds end when one leaves no repeat, and make no draw
+    if no class is sparse.  The per-class cost stays proportional to the
+    number of selected pairs.  The result is a concatenation of sorted runs,
+    not sorted as a whole.
     """
     nz = np.nonzero(counts)[0]
     k, m = counts[nz], m_pairs[nz]
@@ -291,70 +344,80 @@ def _select_class_members(
     parts: list[np.ndarray] = []
 
     for j in nz[k == m]:
-        parts.append(np.arange(offsets[j], offsets[j] + m_pairs[j], dtype=np.int64))
+        parts.append(np.arange(j * n, j * n + m_pairs[j], dtype=np.int64))
 
     for j in nz[(k > half) & (k < m)]:
         sel = rng.choice(m_pairs[j], size=counts[j], replace=False)
-        parts.append(offsets[j] + np.sort(sel))
+        parts.append(j * n + np.sort(sel))
 
     sparse = nz[k <= half]
     cls = np.repeat(sparse, counts[sparse])
     chosen = np.empty(0, dtype=np.int64)
     while cls.size:
-        chosen = np.concatenate([chosen, offsets[cls] + rng.integers(0, m_pairs[cls])])
-        chosen.sort()
-        repeat = np.zeros(chosen.shape, dtype=bool)
-        np.equal(chosen[1:], chosen[:-1], out=repeat[1:])
-        if not repeat.any():
-            break
-        cls = np.searchsorted(offsets, chosen[repeat], side="right") - 1
-        chosen = chosen[~repeat]
+        draws = _draw_members(rng, n, m_pairs, cls)
+        if chosen.size < _MERGE_MIN_CHOSEN:
+            chosen = np.concatenate([chosen, draws])
+            chosen.sort()
+            repeat = _repeat_mask(chosen)
+            if not repeat.any():
+                break
+            cls = chosen[repeat] // n
+            chosen = chosen[~repeat]
+        else:
+            draws.sort()
+            at = np.searchsorted(chosen, draws)
+            repeat = _repeat_mask(draws) | (chosen.take(at, mode="clip") == draws)
+            fresh = ~repeat
+            cls = draws[repeat] // n
+            chosen = np.insert(chosen, at[fresh], draws[fresh])
     parts.append(chosen)
     return np.concatenate(parts)
 
 
 @lru_cache(maxsize=16)
-def _class_tables(n: int, c: float, kernel: Kernel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only per-(n, c, kernel) class tables (m_pairs, probs, offsets).
+def _class_tables(n: int, c: float, kernel: Kernel) -> tuple[int, np.ndarray, np.ndarray]:
+    """Per-(n, c, kernel) class tables (n, m_pairs, probs), arrays read-only.
 
     m_pairs[j] and probs[j] are the pair count and edge probability of the
-    distance class d = j + 1; class j holds the global pair indices
-    [offsets[j], offsets[j + 1]).  An entry takes 24 bytes per class, about
-    12 MB at n=1e6, hence the small cache.
+    distance class d = j + 1; n rides along, so the tables alone fix the
+    global pair index space of _decode_indices.  An entry takes 16 bytes per
+    class, about 8 MB at n=1e6, hence the small cache.
     """
     if n > MAX_PAIR_KEY_N:
         raise ValueError(f"n={n} exceeds {MAX_PAIR_KEY_N}: int64 pair keys would overflow")
     _, _, m_pairs = distance_classes(n)
     probs = class_edge_probs(ModelParams(n=n, c=c, kernel=kernel))
-    offsets = np.concatenate([[0], np.cumsum(m_pairs)]).astype(np.int64)
-    for table in (m_pairs, probs, offsets):
+    for table in (m_pairs, probs):
         table.setflags(write=False)
-    return m_pairs, probs, offsets
+    return n, m_pairs, probs
 
 
 def _sample_indices(
-    rng: np.random.Generator, tables: tuple[np.ndarray, np.ndarray, np.ndarray]
+    rng: np.random.Generator, tables: tuple[int, np.ndarray, np.ndarray]
 ) -> np.ndarray:
     """Draw the edge set: Binomial counts per distance class, then members.
 
     ``tables`` are the model's ``_class_tables``.  Returns the global pair
     index of each edge, in no particular order.
     """
-    m_pairs, probs, offsets = tables
+    n, m_pairs, probs = tables
     counts = rng.binomial(m_pairs, probs)
-    return _select_class_members(rng, m_pairs, counts, offsets)
+    return _select_class_members(rng, n, m_pairs, counts)
 
 
-def _decode_indices(
-    n: int, offsets: np.ndarray, idx: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _decode_indices(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(j, u, v) per global pair index: edge (u, v) is the pair (u, (u + d) mod n)
     of the class j = d - 1, which enumerates its pairs as u = 0..m_d-1 and so
     covers each unordered pair exactly once.
+
+    Every class holds n pairs, except the last one at even n, which holds
+    n/2; class j therefore starts at j*n, and j, u = divmod(idx, n) in
+    closed form.  No clamp is needed: every index lies below n*(n//2).
+    As u < n and d <= n/2, v = u + d wraps at most once.
     """
-    j = np.searchsorted(offsets, idx, side="right") - 1
-    u = idx - offsets[j]
-    v = (u + j + 1) % n
+    j, u = np.divmod(idx, n)
+    v = u + j + 1
+    np.subtract(v, n, out=v, where=v >= n)
     return j, u, v
 
 
@@ -375,7 +438,7 @@ def sample_fast(params: ModelParams, replicate: int = 0) -> Graph:
     n = params.n
     tables = _class_tables(n, params.c, params.kernel)
     idx = _sample_indices(_fast_stream(params, replicate), tables)
-    _, u, v = _decode_indices(n, tables[2], idx)
+    _, u, v = _decode_indices(n, idx)
     return Graph(n, canonical_edges(n, u, v), _validated=True)
 
 
@@ -397,7 +460,7 @@ def sample_filtration(
     # Activations are drawn in increasing global-index order.  The indices
     # are a concatenation of sorted runs, so a stable (merging) sort is cheap.
     idx.sort(kind="stable")
-    j, u, v = _decode_indices(n, tables[2], idx)
+    j, u, v = _decode_indices(n, idx)
 
     h = normalizer(n, kernel).value
     cap = np.minimum(c_max, h / kernel.values(n)[j])

@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 import alphagraph
-from alphagraph.cli import main
+from alphagraph.cli import build_parser, main
 from alphagraph.components import components
 from alphagraph.experiments import format_float, triangle_stats
 from alphagraph.model import ModelParams
-from alphagraph.sampler import read_edge_list, sample_fast
+from alphagraph.sampler import MAX_PAIR_KEY_N, read_edge_list, sample_fast
 
 
 def run(argv):
@@ -290,6 +290,17 @@ class TestErrorPaths:
             # 4 blocks of 64 allow block distances up to 2
             (["blocks", "--n", "256", "--alpha", "1", "--c", "1", "--ms", "16,64",
               "--block-distance", "3"], "argument --ms:"),
+            # ring sizes whose int64 pair keys would overflow
+            (["sample", "--n", "5e9", "--alpha", "1", "--c", "1"], "argument --n: ring size"),
+            (["blocks", "--n", "5e9", "--alpha", "3", "--c", "1", "--ms", "16"],
+             "argument --n: ring size"),
+            (["triangles", "--n", "5e9", "--alpha", "1", "--c", "1"], "argument --n: ring size"),
+            (["sprinkle", "--n", "5e9", "--alpha", "1", "--cprime", "1", "--delta", "0.5"],
+             "argument --n: ring size"),
+            (["sweep", "--alphas", "1", "--cs", "1", "--ns", "64,5e9", "--reps", "1"],
+             f"argument --ns: ring size '5e9' exceeds {MAX_PAIR_KEY_N}"),
+            (["probe", "--kernel", "nn", "--cs", "1", "--ns", "5e9", "--reps", "1"],
+             "argument --ns: ring size"),
         ],
     )
     def test_malformed_argv_exits_2_before_sampling(
@@ -355,6 +366,18 @@ class TestErrorPaths:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_largest_ring_size_parses(self):
+        # parsed only: sampling at this size would need ~10^9 classes
+        parser = build_parser()
+        top = str(MAX_PAIR_KEY_N)
+        args = parser.parse_args(["sample", "--n", top, "--alpha", "1", "--c", "1", "--out", "x"])
+        assert args.n == MAX_PAIR_KEY_N
+        args = parser.parse_args(["sweep", "--alphas", "1", "--cs", "1", "--ns", f"64,{top}", "--out", "x"])
+        assert args.ns == (64, MAX_PAIR_KEY_N)
+        # gw-rho's --n builds no pair keys and stays uncapped
+        args = parser.parse_args(["gw-rho", "--c", "2", "--n", "5e9", "--alpha", "1"])
+        assert args.n == 5 * 10**9
 
     @pytest.mark.parametrize(
         "argv",

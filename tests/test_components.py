@@ -6,6 +6,7 @@ import pytest
 from alphagraph.branching import rho_limit
 from alphagraph.components import (
     ComponentSummary,
+    _label_edges,
     b_fraction,
     component_labels,
     components,
@@ -107,6 +108,23 @@ class TestComponents:
             assert np.array_equal(labels[g.edges[:, 0]], labels[g.edges[:, 1]])
             assert np.array_equal(labels, comp_min)
             assert np.array_equal(sizes[labels], comp_size)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 1000])
+    def test_engine_takes_loops_duplicates_and_reversed_rows(self, n):
+        # The first hooking round runs on the raw endpoints, so it must
+        # tolerate every row the canonical form would have removed.
+        rng = np.random.default_rng(n)
+        for m in (0, 1, 3, n // 2, 2 * n):
+            u, v = rng.integers(0, n, m), rng.integers(0, n, m)
+            k = m // 3
+            loops = rng.integers(0, n, k)
+            uu = np.concatenate([u, v[:k], u[:k], loops])  # reversed rows, duplicates,
+            vv = np.concatenate([v, u[:k], v[:k], loops])  # self-loops
+            pairs = np.unique(np.sort(np.stack([u, v], axis=1), axis=1), axis=0)
+            graph = Graph(n, pairs[pairs[:, 0] < pairs[:, 1]])
+            strided = np.stack([uu, vv], axis=1)
+            labels = _label_edges(n, strided[:, 0], strided[:, 1])
+            np.testing.assert_array_equal(labels, bfs_min_and_size(graph)[0])
 
 
 class TestBFraction:
