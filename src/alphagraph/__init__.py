@@ -17,7 +17,6 @@ from .branching import (
 )
 from .components import (
     ComponentSummary,
-    b_fraction,
     component_labels,
     components,
     omega_for,

@@ -73,7 +73,7 @@ def _text_checked(rule):
 
 _alpha_arg = _at_least(float, 0, "alpha")  # inf selects the nearest-neighbor kernel
 _nonneg_float_arg = _at_least(_float_arg, 0, "number")  # edge densities, increments
-_pos_float_arg = _at_least(_float_arg, 0, "number", strict=True)  # solver tolerance
+_pos_float_arg = _at_least(_float_arg, 0, "number", strict=True)  # solver tolerance, c'
 _pos_int_arg = _at_least(_int_arg, 1, "integer")  # counts, block sizes, pair caps
 _int_from_2_arg = _at_least(_int_arg, 2, "integer")  # block distances, gw-rho's finite-n law
 # A cutoff rule is resolved per ring size n, and resolving it at any n checks
@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_triangles)
 
     p = sub.add_parser("sprinkle", parents=[model], help="connectivity at c', then at c'+delta")
-    p.add_argument("--cprime", type=_nonneg_float_arg, required=True)
+    p.add_argument("--cprime", type=_pos_float_arg, required=True)
     p.add_argument("--delta", type=_nonneg_float_arg, required=True)
     p.add_argument("--omega", type=_omega_arg, default="log4",
                    help='cutoff: integer, "log4", or "loglog"')
@@ -374,6 +374,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -5,8 +5,8 @@ The full partition is computed by vectorized hook-and-compress rounds
 to a smaller root is hooked onto the smallest such root, then labels are
 compressed by pointer jumping until each points at its root.  Labels end as
 component minima.  This is the package's one component engine; the tests
-check it against an independent BFS.  ``b_fraction`` measures the set B of
-vertices living in components of size at least omega.
+check it against an independent BFS.  ``ComponentSummary.b_count`` measures
+the set B of vertices living in components of size at least omega.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ __all__ = [
     "ComponentSummary",
     "component_labels",
     "components",
-    "b_fraction",
     "omega_for",
 ]
 
@@ -104,13 +103,6 @@ def components(graph: Graph) -> ComponentSummary:
     sizes = sizes[sizes > 0]
     sizes[::-1].sort()
     return ComponentSummary(n=graph.n, sizes=sizes)
-
-
-def b_fraction(graph: Graph, omega: int) -> float:
-    """Fraction of vertices in components of size >= omega."""
-    if omega < 1:
-        raise ValueError(f"need omega >= 1, got {omega}")
-    return components(graph).b_count(omega) / graph.n
 
 
 def omega_for(rule: str, n: int) -> int:

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .branching import rho_limit
-from .components import _label_edges, component_labels, omega_for
+from .components import _label_edges, omega_for
 from .model import Kernel, ModelParams, kernel_alpha, kernel_for_alpha
 from .sampler import (
     Graph,
@@ -42,7 +42,6 @@ from .sampler import (
     atomic_write,
     sample_fast,
     sample_filtration,
-    subgraph_at,
 )
 from .streams import rekey, stream
 
@@ -201,17 +200,6 @@ class CellResult:
 class SweepResult:
     spec: dict
     cells: list[CellResult] = field(default_factory=list)
-
-    def cell(self, **match) -> CellResult:
-        """The unique cell whose fields equal the given values."""
-        hits = [
-            c
-            for c in self.cells
-            if all(getattr(c, k) == v for k, v in match.items())
-        ]
-        if len(hits) != 1:
-            raise KeyError(f"{len(hits)} cells match {match}")
-        return hits[0]
 
 
 # Vertices labelled in one pass (one replicate if n is larger).  It bounds
@@ -597,20 +585,33 @@ def _edges_subset(inner: np.ndarray, outer: np.ndarray, n: int) -> bool:
 def _sprinkle_run(
     params: ModelParams, c_prime: float, omega: int, start: int, stop: int
 ) -> list[SprinkleRecord]:
-    """One record per replicate; params.c is the upper level c' + delta."""
+    """One record per replicate; params.c is the upper level c' + delta.
+
+    Each replicate draws one filtration with c_max = c' + delta.  Every
+    activation is at most c_max, so the c'+delta graph is the whole
+    filtration, and one mask splits its edges into those open at c' and
+    the later ones.  The c' labels come from the early edges alone; the
+    c'+delta labels come from labelling only the later edges on top of
+    them, each edge joining the c' labels of its endpoints.  Labels are
+    component minima, and a merged component's minimum is the smallest of
+    the c' minima it contains, so the composed labels equal a fresh
+    labelling of the whole filtration.
+    """
     n = params.n
     records = []
     for rep in range(start, stop):
         filt = sample_filtration(n, params.kernel, params.c, params.seed, replicate=rep)
-        before = subgraph_at(filt, c_prime)
-        after = subgraph_at(filt, params.c)
+        early = filt.activation <= c_prime
+        before, later = filt.edges[early], filt.edges[~early]
 
-        labels1, sizes1 = component_labels(before)
+        labels1 = _label_edges(n, *before.T)
+        sizes1 = np.bincount(labels1, minlength=n)
         b_mask = sizes1[labels1] >= omega
-        labels2, sizes2 = component_labels(after)
+        labels2 = _label_edges(n, labels1[later[:, 0]], labels1[later[:, 1]])[labels1]
+        sizes2 = np.bincount(labels2, minlength=n)
         b_labels = labels2[b_mask]
         merged = bool((b_labels == b_labels[:1]).all())  # True for an empty B too
-        nested = _edges_subset(before.edges, after.edges, n)
+        nested = _edges_subset(before, filt.edges, n)
         records.append(
             SprinkleRecord(
                 replicate=rep,
@@ -636,8 +637,12 @@ def sprinkling_experiment(
 ) -> SprinklingResult:
     """Two-stage construction: sample at c', then raise the level to c'+delta.
 
-    Both stages are read off one coupled filtration, so the stage-two edge
-    set contains stage one's by construction (verified per replicate).  For
+    Each replicate draws one filtration up to c'+delta and splits its edges
+    once, at c'.  Stage one is the early edges; stage two is all of them,
+    so it contains stage one's edges by construction (verified per
+    replicate).  Stage two's labels are composed on stage one's: only the
+    later edges are labelled, between the c' component minima they join,
+    which gives exactly the labels of a fresh labelling at c'+delta.  For
     each replicate this reports the fraction of vertices in components of
     size >= omega at c', whether those vertices all land in a single
     component at c'+delta, and the largest-component fractions at both

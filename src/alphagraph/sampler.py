@@ -95,10 +95,6 @@ class Graph:
             self._adj = (indptr, neighbors)
         return self._adj
 
-    def neighbors(self, v: int) -> np.ndarray:
-        indptr, nbrs = self.adjacency()
-        return nbrs[indptr[v] : indptr[v + 1]]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Graph)

@@ -388,7 +388,6 @@ class TestErrorPaths:
             ["triangles", "--n", "100", "--alpha", "1", "--c=-2"],
             ["sweep", "--alphas", "1", "--cs=2,-1", "--ns", "100"],
             ["probe", "--kernel", "nn", "--cs=-1", "--ns", "100"],
-            ["sprinkle", "--n", "100", "--alpha", "1", "--cprime=-1", "--delta", "0.5"],
             ["sprinkle", "--n", "100", "--alpha", "1", "--cprime", "1.5", "--delta=-0.5"],
         ],
     )
@@ -401,6 +400,29 @@ class TestErrorPaths:
         assert exc.value.code == 2
         assert ">= 0" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("cprime", ["0", "-1"])
+    def test_nonpositive_cprime_exits_2(self, tmp_path, capsys, cprime):
+        # the sprinkling argument starts from a graph at c' > 0
+        out = tmp_path / "x"
+        argv = ["sprinkle", "--n", "100", "--alpha", "1", f"--cprime={cprime}", "--delta", "0.5",
+                "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "argument --cprime: expected number > 0" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "x.json").exists()
+
+    def test_out_of_memory_exits_1_without_traceback(self, capsys, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 18.6 GiB")
+
+        monkeypatch.setattr("alphagraph.branching.finite_degree_pgf", no_memory)
+        assert run(["gw-rho", "--c", "2", "--n", "5e9", "--alpha", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: out of memory: Unable to allocate 18.6 GiB\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "argv",

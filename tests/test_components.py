@@ -2,18 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from alphagraph.branching import rho_limit
 from alphagraph.components import (
     ComponentSummary,
     _label_edges,
-    b_fraction,
     component_labels,
     components,
     omega_for,
 )
-from alphagraph.model import ModelParams
-from alphagraph.sampler import Graph, sample_fast, sample_naive
+from alphagraph.model import ModelParams, kernel_for_alpha
+from alphagraph.sampler import Graph, sample_fast, sample_filtration, sample_naive, subgraph_at
 
 
 def ring_graph(n: int) -> Graph:
@@ -127,29 +128,67 @@ class TestComponents:
             np.testing.assert_array_equal(labels, bfs_min_and_size(graph)[0])
 
 
+def composed_labels(n: int, labels: np.ndarray, later: np.ndarray) -> np.ndarray:
+    """Labels after adding the edges `later` to a graph labelled `labels`:
+    the later edges join the labels of their endpoints."""
+    return _label_edges(n, labels[later[:, 0]], labels[later[:, 1]])[labels]
+
+
+class TestComposedLabels:
+    def test_prefix_then_remainder_equals_fresh_labelling(self):
+        # on the permuted path both passes take up to 7 hooking rounds
+        rng = np.random.default_rng(12)
+        for g in oracle_graphs():
+            n, m = g.n, g.num_edges
+            edges = g.edges[rng.permutation(m)]
+            fresh = _label_edges(n, *edges.T)
+            comp_min, _ = bfs_min_and_size(g)
+            np.testing.assert_array_equal(fresh, comp_min)
+            for k in (0, int(rng.integers(0, m + 1)), m):  # empty prefix, random, empty rest
+                labels = composed_labels(n, _label_edges(n, *edges[:k].T), edges[k:])
+                np.testing.assert_array_equal(labels, comp_min)
+
+    @given(
+        n=st.integers(2, 40),
+        alpha=st.sampled_from([0.0, 1.0, 3.0, math.inf]),
+        c_max=st.floats(0.05, 6.0),
+        levels=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_filtration_levels_nest_and_compose(self, n, alpha, c_max, levels, seed):
+        filt = sample_filtration(n, kernel_for_alpha(alpha), c_max, seed)
+        c1, c2 = (max(x * c_max, 1e-9) for x in sorted(levels))
+        g1, g2 = subgraph_at(filt, c1), subgraph_at(filt, c2)
+        assert set(map(tuple, g1.edges.tolist())) <= set(map(tuple, g2.edges.tolist()))
+        later = filt.edges[(filt.activation > c1) & (filt.activation <= c2)]
+        labels = composed_labels(n, _label_edges(n, *g1.edges.T), later)
+        np.testing.assert_array_equal(labels, _label_edges(n, *g2.edges.T))
+        np.testing.assert_array_equal(labels, bfs_min_and_size(g2)[0])
+
+
 class TestBFraction:
     def test_omega_one_is_total(self):
         g = sample_fast(ModelParams.make(300, 1.0, 1.0, seed=2))
-        assert b_fraction(g, 1) == 1.0
+        assert components(g).b_count(1) / g.n == 1.0
 
     def test_monotone_in_omega(self):
         g = sample_fast(ModelParams.make(1000, 1.0, 2.0, seed=4))
-        values = [b_fraction(g, w) for w in (1, 2, 4, 8, 16, 64, 256, 2000)]
+        values = [components(g).b_count(w) / g.n for w in (1, 2, 4, 8, 16, 64, 256, 2000)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_above_largest_is_zero(self):
         g = sample_fast(ModelParams.make(500, 1.0, 1.5, seed=6))
         s = components(g)
-        assert b_fraction(g, s.largest + 1) == 0.0
+        assert s.b_count(s.largest + 1) / g.n == 0.0
 
     def test_complete_graph(self):
         n = 20
         edges = [[u, v] for u in range(n) for v in range(u + 1, n)]
         g = Graph(n, np.array(edges))
-        assert b_fraction(g, n) == 1.0
+        assert components(g).b_count(n) / g.n == 1.0
 
     def test_empty_graph(self):
-        assert b_fraction(empty_graph(50), 2) == 0.0
+        assert components(empty_graph(50)).b_count(2) / 50 == 0.0
 
     def test_giant_component_fraction_at_log4_cutoff(self):
         # alpha=0, c=2: vertices in components >= log^4(n) are the giant one
@@ -158,7 +197,7 @@ class TestBFraction:
         vals = []
         for rep in range(3):
             g = sample_fast(ModelParams.make(n, 0.0, 2.0, seed=11), replicate=rep)
-            vals.append(b_fraction(g, omega))
+            vals.append(components(g).b_count(omega) / n)
         assert abs(np.mean(vals) - rho_limit(2.0)) < 0.02
 
     def test_loglog_cutoff_fraction_approaches_survival_probability(self):

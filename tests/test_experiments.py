@@ -33,6 +33,12 @@ from alphagraph.sampler import Graph, sample_fast
 MASTER = 20260809
 
 
+def cell_at(result, n: int):
+    """The one cell of a one-kernel, one-c result with ring size n."""
+    (hit,) = [c for c in result.cells if c.n == n]
+    return hit
+
+
 class TestRunSweep:
     def test_grid_cardinality_and_fields(self):
         spec = SweepSpec(alphas=(0.0, 1.0), cs=(0.5, 1.0, 2.0), ns=(100, 200), replicates=3)
@@ -64,8 +70,8 @@ class TestRunSweep:
         # a kernel table too short for the requested n fails that cell only
         short = TabulatedKernel((1.0, 0.5))
         result = conjecture_probe(short, ns=(4, 1000), cs=(1.0,), replicates=2, master_seed=1)
-        ok = result.cell(n=4)
-        bad = result.cell(n=1000)
+        ok = cell_at(result, 4)
+        bad = cell_at(result, 1000)
         assert ok.error is None
         assert bad.error is not None and "table" in bad.error
         assert math.isnan(bad.mean_fraction)
@@ -76,8 +82,8 @@ class TestRunSweep:
         short = TabulatedKernel((1.0, 0.5))
         result = conjecture_probe(short, ns=(4, 1000), cs=(1.0,), replicates=2, master_seed=1,
                                   workers=workers)
-        assert result.cell(n=4).error is None
-        assert result.cell(n=1000).error.startswith(f"replicates {failing}: ValueError: ")
+        assert cell_at(result, 4).error is None
+        assert cell_at(result, 1000).error.startswith(f"replicates {failing}: ValueError: ")
 
     def test_omega_column_and_b_fraction(self):
         spec = SweepSpec(alphas=(0.0,), cs=(2.0,), ns=(256,), replicates=2, omega_rule="8")
@@ -139,7 +145,7 @@ class TestConjectureProbe:
         kernel = PowerLogKernel(1.0, 1.0)
         ns = (10**4, 31623, 10**5, 316228)
         result = conjecture_probe(kernel, ns=ns, cs=(2.0,), replicates=10, master_seed=MASTER)
-        fr = [result.cell(n=n).mean_fraction for n in ns]
+        fr = [cell_at(result, n).mean_fraction for n in ns]
         corr = spearmanr(np.log(ns), fr).statistic
         assert corr > 0
         assert abs(fr[-1] - rho_limit(2.0)) < 0.02
@@ -149,7 +155,7 @@ class TestConjectureProbe:
         kernel = PowerLogKernel(1.0, 2.0)
         ns = (10**4, 31623, 10**5, 316228)
         result = conjecture_probe(kernel, ns=ns, cs=(1.05,), replicates=10, master_seed=MASTER)
-        fr = [result.cell(n=n).mean_fraction for n in ns]
+        fr = [cell_at(result, n).mean_fraction for n in ns]
         corr = spearmanr(np.log(ns), fr).statistic
         assert corr < 0
         assert fr[-1] < 0.01

@@ -101,10 +101,10 @@ class TestGraphType:
 
     def test_adjacency_sorted_and_consistent(self):
         g = Graph(5, np.array([[0, 3], [1, 3], [2, 4], [0, 1]]))
-        assert g.neighbors(3).tolist() == [0, 1]
-        assert g.neighbors(0).tolist() == [1, 3]
-        assert g.neighbors(4).tolist() == [2]
         indptr, nbrs = g.adjacency()
+        assert nbrs[indptr[3] : indptr[4]].tolist() == [0, 1]
+        assert nbrs[indptr[0] : indptr[1]].tolist() == [1, 3]
+        assert nbrs[indptr[4] : indptr[5]].tolist() == [2]
         assert nbrs.shape[0] == 2 * g.num_edges
 
 
