@@ -389,6 +389,8 @@ class TestErrorPaths:
             ["sweep", "--alphas", "1", "--cs=2,-1", "--ns", "100"],
             ["probe", "--kernel", "nn", "--cs=-1", "--ns", "100"],
             ["sprinkle", "--n", "100", "--alpha", "1", "--cprime", "1.5", "--delta=-0.5"],
+            # the bound is exact: no tolerance below zero
+            ["sprinkle", "--n", "100", "--alpha", "1", "--cprime", "1.5", "--delta=-1e-12"],
         ],
     )
     def test_negative_densities_exit_2(self, tmp_path, capsys, argv):
