@@ -38,13 +38,13 @@ NEAR_CRITICAL_BAND = 1e-3
 
 @dataclass(frozen=True)
 class PoissonPGF:
-    """Offspring PGF of a Poisson(c) law: f(s) = exp(c*(s-1))."""
+    """Offspring PGF of a Poisson(c) law, c >= 0: f(s) = exp(c*(s-1))."""
 
     c: float
 
     def __post_init__(self):
-        if not (self.c > 0 and math.isfinite(self.c)):
-            raise ValueError(f"need finite c > 0, got {self.c}")
+        if not (self.c >= 0 and math.isfinite(self.c)):
+            raise ValueError(f"need finite c >= 0, got {self.c}")
 
     def value(self, s: float) -> float:
         return math.exp(self.c * (s - 1.0))
@@ -152,7 +152,7 @@ def extinction_bisection(pgf, tol: float = DEFAULT_TOL) -> GWResult:
     return _result(pgf, 0.5 * (lo + hi), iterations)
 
 
-def extinction(pgf, tol: float = DEFAULT_TOL, max_iterations: int = MAX_ITERATIONS) -> GWResult:
+def extinction(pgf, tol: float = DEFAULT_TOL) -> GWResult:
     """Extinction probability: smallest fixed point of the PGF on [0, 1].
 
     Monotone iteration from 0; mean offspring <= 1 short-circuits to q = 1,
@@ -171,7 +171,7 @@ def extinction(pgf, tol: float = DEFAULT_TOL, max_iterations: int = MAX_ITERATIO
     if abs(mean - 1.0) < NEAR_CRITICAL_BAND:
         return extinction_bisection(pgf, tol)
     s = 0.0
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, MAX_ITERATIONS + 1):
         s_next = pgf.value(s)
         if s_next - s <= 0.5 * tol:
             result = _result(pgf, s_next, iteration)
@@ -181,7 +181,7 @@ def extinction(pgf, tol: float = DEFAULT_TOL, max_iterations: int = MAX_ITERATIO
                 )
             return result
         s = s_next
-    raise RuntimeError(f"no convergence within {max_iterations} iterations (malformed PGF?)")
+    raise RuntimeError(f"no convergence within {MAX_ITERATIONS} iterations (malformed PGF?)")
 
 
 def rho_limit(c: float, tol: float = DEFAULT_TOL) -> float:

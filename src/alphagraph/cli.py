@@ -270,8 +270,6 @@ def cmd_gw_rho(args) -> int:
     if args.n is not None:
         params = ModelParams(n=args.n, c=args.c, kernel=kernel_for_alpha(args.alpha))
         result = branching.extinction(branching.finite_degree_pgf(params), args.tol)
-    elif args.c <= 1.0:
-        result = branching.GWResult(1.0, 0.0, 0, 0.0)
     else:
         result = branching.extinction(branching.PoissonPGF(args.c), args.tol)
     payload = {

@@ -65,11 +65,11 @@ class Graph:
     def __init__(self, n: int, edges: np.ndarray, _validated: bool = False):
         given = edges
         edges = np.ascontiguousarray(edges, dtype=np.int64).reshape(-1, 2)
-        if not _validated and edges.size:
-            _check_endpoint_range(n, edges)
-            if not _is_canonical(n, edges):
+        if not _validated:
+            if _canonical_fault(n, edges):
                 edges = canonical_edges(n, edges[:, 0], edges[:, 1])
-                _validate_edges(n, edges)
+                if fault := _canonical_fault(n, edges):
+                    raise ValueError(fault)
             elif isinstance(given, np.ndarray) and np.may_share_memory(edges, given):
                 edges = edges.copy()  # the graph is frozen, the caller's array is not
         edges.setflags(write=False)
@@ -106,30 +106,31 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.num_edges})"
 
 
-def _check_endpoint_range(n: int, edges: np.ndarray) -> None:
-    if edges.min() < 0 or edges.max() >= n:
-        raise ValueError("edge endpoint out of range")
+def _check_vertex_count(n: int) -> None:
+    """Reject n outside [1, MAX_PAIR_KEY_N], where pair keys fit in int64."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if n > MAX_PAIR_KEY_N:
+        raise ValueError(f"n={n} exceeds {MAX_PAIR_KEY_N}: int64 pair keys would overflow")
 
 
-def _is_canonical(n: int, edges: np.ndarray) -> bool:
-    """True if every row has u < v and the keys lo*n + hi strictly increase.
+def _canonical_fault(n: int, edges: np.ndarray) -> str | None:
+    """Why (m, 2) rows are not a canonical edge set on n vertices, or None.
 
-    Endpoints must lie in [0, n).
+    Canonical rows have u < v, and their keys lo*n + hi strictly increase.
+    A bad vertex count or an endpoint outside [0, n) raises ValueError
+    first: no reordering of the rows could mend it.
     """
+    _check_vertex_count(n)
+    if edges.size and (edges.min() < 0 or edges.max() >= n):
+        raise ValueError("edge endpoint out of range")
     u, v = edges[:, 0], edges[:, 1]
+    if not (u < v).all():
+        return "edges must satisfy u < v (no self-loops)"
     keys = u * np.int64(n) + v
-    return bool((u < v).all() and (keys[1:] > keys[:-1]).all())
-
-
-def _validate_edges(n: int, edges: np.ndarray) -> None:
-    if edges.size == 0:
-        return
-    _check_endpoint_range(n, edges)
-    if np.any(edges[:, 0] >= edges[:, 1]):
-        raise ValueError("edges must satisfy u < v (no self-loops)")
-    keys = edges[:, 0] * np.int64(n) + edges[:, 1]
-    if np.any(np.diff(keys) <= 0):
-        raise ValueError("edges must be sorted and duplicate-free")
+    if not (keys[1:] > keys[:-1]).all():
+        return "edges must be sorted and duplicate-free"
+    return None
 
 
 def _pair_keys(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -175,7 +176,8 @@ class Filtration:
     ):
         edges = np.ascontiguousarray(edges, dtype=np.int64).reshape(-1, 2)
         activation = np.ascontiguousarray(activation, dtype=np.float64)
-        _validate_edges(n, edges)
+        if fault := _canonical_fault(n, edges):
+            raise ValueError(fault)
         if activation.shape[0] != edges.shape[0]:
             raise ValueError("one activation level per edge required")
         if activation.size and not (
@@ -239,15 +241,15 @@ def _naive_block(n: int, r0: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarr
     return r0 + rows, u, v, cls
 
 
-def sample_naive(params: ModelParams, replicate: int = 0, max_n: int = NAIVE_GUARD_N) -> Graph:
-    """Direct per-pair Bernoulli sampling; O(n^2) work, guarded by max_n.
+def sample_naive(params: ModelParams, replicate: int = 0) -> Graph:
+    """Direct per-pair Bernoulli sampling; O(n^2) work, guarded by NAIVE_GUARD_N.
 
     One uniform per pair, drawn in canonical pair order, in row blocks of at
     most _NAIVE_BLOCK_PAIRS pairs.
     """
     n = params.n
-    if n > max_n:
-        raise ValueError(f"sample_naive is O(n^2); n={n} exceeds guard {max_n}")
+    if n > NAIVE_GUARD_N:
+        raise ValueError(f"sample_naive is O(n^2); n={n} exceeds guard {NAIVE_GUARD_N}")
     rng = stream(params.seed, "sample:naive", params.kernel.spec_string(), n, float(params.c), replicate)
     _, _, p_class = _class_tables(n, params.c, params.kernel)
     us, vs = [], []
@@ -379,8 +381,7 @@ def _class_tables(n: int, c: float, kernel: Kernel) -> tuple[int, np.ndarray, np
     global pair index space of _decode_indices.  An entry takes 16 bytes per
     class, about 8 MB at n=1e6, hence the small cache.
     """
-    if n > MAX_PAIR_KEY_N:
-        raise ValueError(f"n={n} exceeds {MAX_PAIR_KEY_N}: int64 pair keys would overflow")
+    _check_vertex_count(n)
     _, _, m_pairs = distance_classes(n)
     probs = class_edge_probs(ModelParams(n=n, c=c, kernel=kernel))
     for table in (m_pairs, probs):
@@ -582,6 +583,9 @@ def _parse_header(line: str) -> dict:
         if not sep:
             raise ValueError(f"bad header token {tok!r}")
         fields[key] = value
+    missing = [key for key in ("n", "alpha", "c", "seed") if key not in fields]
+    if missing:
+        raise ValueError(f"header lacks {', '.join(missing)} (header {line!r})")
     return {
         "n": int(fields["n"]),
         "alpha": fields["alpha"],

@@ -126,6 +126,21 @@ class TestComponentsCommand:
         assert "error:" in captured.err and "columns" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("# alphagraph v1 alpha=1.0 c=2.0 seed=1", "header lacks n "),
+            ("# alphagraph v1 n=0 alpha=1.0 c=2.0 seed=1", "need n >= 1, got 0"),
+        ],
+    )
+    def test_bad_header_exits_1(self, tmp_path, capsys, header, message):
+        path = tmp_path / "bad.edges"
+        path.write_text(header + "\n")
+        assert run(["components", "--in", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert len(captured.err.splitlines()) == 1 and captured.out == ""
+
 
 class TestGwRho:
     def test_poisson_value(self, capsys):
@@ -154,6 +169,14 @@ class TestGwRho:
             '{"q": 0.20035035905404597, "rho": 0.799649640945954, "iterations": 30, '
             '"residual": 1.4710455076283324e-13, "config": {"command": "gw-rho", "c": 2.0, '
             '"n": 100000, "alpha": 1.0, "tol": 1e-12}}\n'
+        )
+
+    @pytest.mark.parametrize("c", ["0", "0.8", "1"])
+    def test_subcritical_stdout_frozen(self, capsys, c):
+        assert run(["gw-rho", "--c", c]) == 0
+        assert capsys.readouterr().out == (
+            '{"q": 1.0, "rho": 0.0, "iterations": 0, "residual": 0.0, "config": '
+            f'{{"command": "gw-rho", "c": {float(c)}, "n": null, "alpha": null, "tol": 1e-12}}}}\n'
         )
 
     def test_finite_n_requires_alpha(self, capsys):

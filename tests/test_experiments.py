@@ -343,14 +343,24 @@ class TestSprinkling:
             # is merged exactly when there is at most one such component
             assert rec.nested_ok
 
-    def test_edges_subset(self):
-        edges = np.array([[0, 1], [1, 2], [2, 3]], dtype=np.int64)
-        none = np.empty((0, 2), dtype=np.int64)
-        assert experiments._edges_subset(edges[[0, 2]], edges, 4)
-        assert experiments._edges_subset(none, none, 4)
-        assert not experiments._edges_subset(edges[:1], none, 4)
-        assert not experiments._edges_subset(edges, edges[:2], 4)  # a key past the last
-        assert not experiments._edges_subset(np.array([[0, 2]]), edges, 4)
+    def test_nested_ok_flags_edges_above_upper_level(self, monkeypatch):
+        # A filtration drawn past c'+delta is not the c'+delta graph: the
+        # replicates whose draw holds an edge above c'+delta are not nested.
+        n, kernel, c_prime, delta, reps = 16, PowerLawKernel(1.0), 0.3, 0.2, 12
+        draw = experiments.sample_filtration
+
+        def wide(n, kernel, c_max, seed, replicate):
+            return draw(n, kernel, 1.25 * c_max, seed, replicate)
+
+        monkeypatch.delenv("ALPHAGRAPH_WORKERS", raising=False)
+        monkeypatch.setattr(experiments, "sample_filtration", wide)
+        res = sprinkling_experiment(n, kernel, c_prime, delta, 2, reps, master_seed=3, workers=1)
+        above = [
+            wide(n, kernel, c_prime + delta, 3, rep).activation.max(initial=0.0) > c_prime + delta
+            for rep in range(reps)
+        ]
+        assert any(above) and not all(above)
+        assert [not rec.nested_ok for rec in res.records] == above
 
     def test_validation(self):
         k = PowerLawKernel(1.0)

@@ -30,6 +30,13 @@ from alphagraph.sampler import (
 )
 
 
+BAD_VERTEX_COUNTS = [
+    (0, "need n >= 1, got 0"),
+    (-5, "need n >= 1, got -5"),
+    (sampler.MAX_PAIR_KEY_N + 1, "int64 pair keys would overflow"),
+]
+
+
 def pair_distances(graph: Graph) -> np.ndarray:
     a = graph.edges[:, 1] - graph.edges[:, 0]
     return np.minimum(a, graph.n - a)
@@ -98,6 +105,13 @@ class TestGraphType:
     def test_rejects_as_before(self, rows, message):
         with pytest.raises(ValueError, match=message):
             Graph(4, np.array(rows))
+
+    @pytest.mark.parametrize("n, message", BAD_VERTEX_COUNTS)
+    @pytest.mark.parametrize("rows", [[], [[2, 3], [0, 1]], [[2, 3], [0, 1], [2, 3]]])
+    def test_rejects_vertex_count(self, n, message, rows):
+        # checked with or without edges, before keys lo*n + hi could overflow
+        with pytest.raises(ValueError, match=message):
+            Graph(n, np.array(rows).reshape(-1, 2))
 
     def test_adjacency_sorted_and_consistent(self):
         g = Graph(5, np.array([[0, 3], [1, 3], [2, 4], [0, 1]]))
@@ -487,6 +501,22 @@ class TestFileBodies:
         path.write_text(HEADER + body)
         with pytest.raises(ValueError, match=message):
             read_filtration(path)
+
+    @pytest.mark.parametrize("n, message", BAD_VERTEX_COUNTS)
+    @pytest.mark.parametrize("reader", [read_edge_list, read_filtration])
+    def test_rejects_vertex_count(self, tmp_path, reader, n, message):
+        path = tmp_path / "f"
+        path.write_text(HEADER.replace("n=5", f"n={n}"))
+        with pytest.raises(ValueError, match=message):
+            reader(path)
+
+    @pytest.mark.parametrize("field", ["n", "alpha", "c", "seed"])
+    @pytest.mark.parametrize("reader", [read_edge_list, read_filtration])
+    def test_rejects_header_without_field(self, tmp_path, reader, field):
+        path = tmp_path / "f"
+        path.write_text(" ".join(t for t in HEADER.split() if not t.startswith(f"{field}=")))
+        with pytest.raises(ValueError, match=f"header lacks {field} "):
+            reader(path)
 
     @pytest.mark.parametrize(
         "reader, body",
