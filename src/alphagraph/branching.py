@@ -83,7 +83,8 @@ class DegreePGF:
         return float(np.exp(total))
 
     def mean(self) -> float:
-        return math.fsum((self.mu * self.p).tolist())
+        # fsum reads the floats through the buffer, without a list of them
+        return math.fsum(memoryview(self.mu * self.p))
 
 
 def finite_degree_pgf(params: ModelParams) -> DegreePGF:

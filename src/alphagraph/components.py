@@ -60,12 +60,15 @@ def _label_edges(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     Each label is the smallest vertex id in its component.  Edges need no
     order and may repeat; self-loops are allowed.  A round hooks the larger
-    endpoint label of each live edge onto the smaller one, then compresses
+    endpoint root of each live edge onto the smaller one, then compresses
     every label to its root.  Every vertex is its own root before the first
     round, so that round hooks the endpoints themselves, with no gather or
     live mask; a self-loop hooks a vertex onto itself, which changes nothing.
-    Later rounds keep only the edges whose endpoints still have different
-    roots.
+    Between rounds only the roots (lu, lv) of the edges whose endpoints
+    still have different roots are kept: the next round's roots are
+    label[lu] and label[lv].  Hooking and jumping only lower labels
+    (label[x] <= x throughout), so a compression pass that leaves the sum
+    of the labels unchanged has changed no label.
     """
     label = np.arange(n, dtype=np.int64)
     lu, lv = u, v
@@ -73,16 +76,18 @@ def _label_edges(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         # Labels are roots here (label[r] == r), so hooking each larger root
         # onto its smallest neighbouring root merges whole trees at once.
         np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+        total = label.sum()
         while True:
             hop = label[label]
-            if not (hop != label).any():
+            hop_total = hop.sum()
+            if hop_total == total:
                 break
-            label = hop
-        lu, lv = label[u], label[v]
+            label, total = hop, hop_total
+        lu, lv = label[lu], label[lv]
         live = lu != lv
         if not live.any():
             return label
-        u, v, lu, lv = u[live], v[live], lu[live], lv[live]
+        lu, lv = lu[live], lv[live]
 
 
 def component_labels(graph: Graph) -> tuple[np.ndarray, np.ndarray]:

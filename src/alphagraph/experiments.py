@@ -23,7 +23,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -35,15 +34,14 @@ from .model import Kernel, ModelParams, kernel_alpha, kernel_for_alpha
 from .sampler import (
     Graph,
     _class_tables,
-    _decode_indices,
+    _decode_batch,
     _fast_key,
-    _fast_stream,
     _sample_indices,
     atomic_write,
     sample_fast,
     sample_filtration,
 )
-from .streams import rekey, stream
+from .streams import keyed_stream, rekey, stream
 
 __all__ = [
     "SweepSpec",
@@ -135,6 +133,10 @@ def _run_replicates(run, cells: list[tuple], replicates: int, workers: int) -> l
     if workers <= 1 or len(jobs) <= 1:
         outputs = map(_run_job, jobs)
     else:
+        # Imported here: the pool's modules cost a process ~30 ms to import,
+        # and most commands never build one.
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, len(jobs) // (workers * _JOBS_PER_WORKER))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outputs = list(pool.map(_run_job, jobs, chunksize=chunk))
@@ -211,31 +213,19 @@ _BATCH_VERTICES = 1 << 14
 
 
 def _batch_stats(
-    params: ModelParams, start: int, stop: int, omega: int
+    tables: tuple[int, np.ndarray, np.ndarray], rngs: list[np.random.Generator], omega: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Largest, second-largest and b_count of each replicate in [start, stop).
+    """Largest, second-largest and b_count of the ring drawn on each generator.
 
-    Replicate start + i is drawn on its own sample_fast stream, and its
-    vertices are shifted by i*n, so the batch is one disjoint union that a
-    single labelling pass splits into components.  Labels are component
-    minima, so replicate i's labels stay in row i of the (r, n) size table.
-    The class tables are fetched once, and one generator serves the whole
-    batch: it is re-keyed to each replicate's stream in turn, which is safe
-    because it never leaves this function.
+    ``tables`` are the cell's ``_class_tables``.  The rings are drawn in
+    lockstep (see _sample_indices) as one disjoint union, in which ring i's
+    vertices are shifted by i*n, and a single labelling pass splits it into
+    components.  Labels are component minima, so ring i's labels stay in
+    row i of the (r, n) size table.
     """
-    n = params.n
-    r = stop - start
-    tables = _class_tables(n, params.c, params.kernel)
-    rng = _fast_stream(params, start)
-    draws = []
-    for rep in range(start, stop):
-        if rep > start:
-            rekey(rng, _fast_key(params, rep))
-        draws.append(_sample_indices(rng, tables))
-    _, u, v = _decode_indices(n, np.concatenate(draws))
-    shift = np.repeat(np.arange(r, dtype=np.int64) * n, [idx.size for idx in draws])
-    u += shift
-    v += shift
+    n = tables[0]
+    r = len(rngs)
+    u, v = _decode_batch(n, _sample_indices(rngs, tables))
     sizes = np.bincount(_label_edges(r * n, u, v), minlength=r * n).reshape(r, n)
     b_count = np.where(sizes >= omega, sizes, 0).sum(axis=1)
     top = np.partition(sizes, n - 2, axis=1)
@@ -243,8 +233,24 @@ def _batch_stats(
 
 
 def _sweep_run(params: ModelParams, batch: int, omega: int, start: int, stop: int) -> list:
-    """[largest, second-largest, b_count] per replicate, ``batch`` replicates per pass."""
-    stats = [_batch_stats(params, s, min(s + batch, stop), omega) for s in range(start, stop, batch)]
+    """[largest, second-largest, b_count] per replicate, ``batch`` replicates per pass.
+
+    Replicate i is drawn on its own sample_fast stream.  One call keys every
+    replicate of the run, and one list of generators serves every batch:
+    each is re-keyed to its next replicate's stream, which is safe because
+    the list never leaves this call.
+    """
+    tables = _class_tables(params.n, params.c, params.kernel)
+    k0, k1 = _fast_key(params, np.arange(start, stop))
+    keys = list(zip(k0.tolist(), k1.tolist()))
+    rngs: list[np.random.Generator] = []
+    stats = []
+    for s in range(0, len(keys), batch):
+        chunk = keys[s : s + batch]
+        for rng, key in zip(rngs, chunk):
+            rekey(rng, key)
+        rngs += [keyed_stream(key) for key in chunk[len(rngs) :]]
+        stats.append(_batch_stats(tables, rngs[: len(chunk)], omega))
     return np.concatenate([np.stack(columns, axis=1) for columns in stats]).tolist()
 
 

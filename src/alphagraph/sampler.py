@@ -176,6 +176,8 @@ class Filtration:
     ):
         edges = np.ascontiguousarray(edges, dtype=np.int64).reshape(-1, 2)
         activation = np.ascontiguousarray(activation, dtype=np.float64)
+        if not (math.isfinite(c_max) and c_max > 0):
+            raise ValueError(f"need finite c_max > 0, got {c_max}")
         if fault := _canonical_fault(n, edges):
             raise ValueError(fault)
         if activation.shape[0] != edges.shape[0]:
@@ -271,27 +273,32 @@ def _repeat_mask(keys: np.ndarray) -> np.ndarray:
 
 
 def _draw_members(
-    rng: np.random.Generator, n: int, m_pairs: np.ndarray, cls: np.ndarray
+    rngs: list[np.random.Generator], n: int, cls: np.ndarray, marks: np.ndarray
 ) -> np.ndarray:
-    """One uniform member of class cls[i] per entry, as a global pair index.
+    """One uniform member of batch class cls[i] per entry, as a batch pair index.
 
-    The members are cls * n + rng.integers(0, m_pairs[cls]), for ascending
-    cls.  Every class holds n pairs except the last one at even n, whose
-    entries end cls, so the draw takes at most two scalar bounds.  numpy
-    fills a scalar-bound draw with the routine it runs per element for an
-    array of bounds, so the values and the generator's state after the
-    draw are the same; the fill skips the per-element bound handling (at
-    10^6 draws, 8 ms against 25 ms).
+    The members are cls * n + a draw below the class's pair count (see
+    _sample_indices).  cls ascends, so each ring's entries form one run,
+    whose last-class entries come last; ``marks`` holds, per ring, its
+    first batch class and the class where its draws switch bounds, then
+    the end of the batch.  Each ring with entries draws from its own
+    generator: rng.integers(0, n) for its run, except the entries of its
+    last class at even n, which holds n/2 pairs; those take a second draw,
+    rng.integers(0, n // 2).  numpy fills a scalar-bound draw with the
+    routine it runs per element for an array of bounds, so the values and
+    the generator's state after the draw are the same; the fill skips the
+    per-element bound handling (at 10^6 draws, 8 ms against 25 ms).
     """
-    last = m_pairs.size - 1
-    head = cls.size
-    if cls[-1] == last and m_pairs[last] != n:
-        head = int(np.searchsorted(cls, last))
-    draws = rng.integers(0, n, size=head)
-    if head < cls.size:
-        draws = np.concatenate([draws, rng.integers(0, m_pairs[last], size=cls.size - head)])
-    draws += cls * n
-    return draws
+    at = cls.searchsorted(marks).tolist()
+    draws = []
+    for rng, start, last, stop in zip(rngs, at[::2], at[1::2], at[2::2]):
+        if start < stop:
+            draws.append(rng.integers(0, n, size=last - start))
+            if last < stop:
+                draws.append(rng.integers(0, n // 2, size=stop - last))
+    members = np.concatenate(draws) if len(draws) > 1 else draws[0]
+    members += cls * n
+    return members
 
 
 # Smallest chosen set that a rejection round merges its new draws into; a
@@ -307,17 +314,29 @@ def _draw_members(
 _MERGE_MIN_CHOSEN = 4096
 
 
-def _select_class_members(
-    rng: np.random.Generator, n: int, m_pairs: np.ndarray, counts: np.ndarray
+def _sample_indices(
+    rngs: list[np.random.Generator], tables: tuple[int, np.ndarray, np.ndarray]
 ) -> np.ndarray:
-    """Choose counts[j] distinct members of each class, as global pair indices.
+    """Draw the edge sets of len(rngs) rings, one per generator, in lockstep.
 
-    Class j holds the global pair indices [j*n, j*n + m_pairs[j]) (see
-    _decode_indices).  Clamped classes (count == m) are emitted whole; dense
-    classes use a partial shuffle; sparse classes are filled by vectorized
-    rejection across all classes at once.  The first round draws every
-    member with replacement; each later round redraws one member in the
-    class of each repeat.  The chosen set stays sorted and unique:
+    ``tables`` are the model's ``_class_tables``.  Returns the batch pair
+    index of each edge, as a concatenation of sorted runs, not sorted as a
+    whole.  The index space is the
+    disjoint union of the rings: with h = n // 2 classes per ring, class j of
+    ring i is the batch class g = i*h + j, which holds the indices
+    [g*n, g*n + m_pairs[j]).  A batch of one is the global pair index of
+    _decode_indices; _decode_batch decodes any batch.
+
+    Each generator makes exactly the calls it would make alone, in the
+    same order, so a ring's edges do not depend on the batch it is drawn
+    in: Binomial counts per class, then a partial shuffle per dense class,
+    in ascending class order, then one _draw_members per rejection round in
+    which its ring still has repeats.  Clamped classes (count == m) are
+    emitted whole.  The sparse classes of every ring are filled by one
+    vectorized rejection, whose sorting, repeat masks and merges run once
+    per round for the whole batch.  The first round draws every member
+    with replacement; each later round redraws one member in the class of
+    each repeat.  The chosen set stays sorted and unique:
 
     * below _MERGE_MIN_CHOSEN keys, a round re-sorts it together with its
       draws and drops repeats with an adjacent-difference mask;
@@ -329,32 +348,43 @@ def _select_class_members(
       round after the first merges: 3 rounds at alpha=1, c=2 and 14 at
       alpha=3, c=0.9.
 
-    Either way the repeats come out in ascending order, so the class list of
-    the next round, and with it every draw, does not depend on which way a
-    round went.  The rounds end when one leaves no repeat, and make no draw
-    if no class is sparse.  The per-class cost stays proportional to the
-    number of selected pairs.  The result is a concatenation of sorted runs,
-    not sorted as a whole.
+    Either way the repeats come out in ascending order and each value
+    repeats as often, so the class list of the next round, and with it
+    every draw, depends neither on which way a round went nor on the other
+    rings of the batch.  The rounds end when one leaves no repeat, and make
+    no draw if no class is sparse.  The per-class cost stays proportional
+    to the number of selected pairs.  The batch index needs
+    len(rngs) * n * h < 2^63; a batch of one always fits (n <= MAX_PAIR_KEY_N).
     """
-    nz = np.nonzero(counts)[0]
-    k, m = counts[nz], m_pairs[nz]
+    n, m_pairs, probs = tables
+    r, h = len(rngs), n // 2
+    if r * n * h >= 2**63:
+        raise ValueError(f"{r} rings of n={n}: batch pair indices would overflow int64")
+    counts = np.concatenate([rng.binomial(m_pairs, probs) for rng in rngs])
+    sizes = np.tile(m_pairs, r) if r > 1 else m_pairs  # pair count per batch class
+    nz = counts.nonzero()[0]
+    k, m = counts[nz], sizes[nz]
     half = m // 2
     parts: list[np.ndarray] = []
 
-    for j in nz[k == m]:
-        parts.append(np.arange(j * n, j * n + m_pairs[j], dtype=np.int64))
+    for g in nz[k == m].tolist():
+        parts.append(np.arange(g * n, g * n + sizes[g], dtype=np.int64))
 
-    for j in nz[(k > half) & (k < m)]:
-        sel = rng.choice(m_pairs[j], size=counts[j], replace=False)
-        parts.append(j * n + np.sort(sel))
+    for g in nz[(k > half) & (k < m)].tolist():
+        sel = rngs[g // h].choice(sizes[g], size=counts[g], replace=False)
+        parts.append(g * n + np.sort(sel))
 
     sparse = nz[k <= half]
     cls = np.repeat(sparse, counts[sparse])
+    # Per ring: its first class, and the class where its draws switch to the
+    # bound n // 2 (its last class at even n, its end at odd n); then the end.
+    switch = h - 1 + n % 2
+    marks = np.array([*chain.from_iterable((g, g + switch) for g in range(0, r * h, h)), r * h])
     chosen = np.empty(0, dtype=np.int64)
     while cls.size:
-        draws = _draw_members(rng, n, m_pairs, cls)
+        draws = _draw_members(rngs, n, cls, marks)
         if chosen.size < _MERGE_MIN_CHOSEN:
-            chosen = np.concatenate([chosen, draws])
+            chosen = np.concatenate([chosen, draws]) if chosen.size else draws
             chosen.sort()
             repeat = _repeat_mask(chosen)
             if not repeat.any():
@@ -389,19 +419,6 @@ def _class_tables(n: int, c: float, kernel: Kernel) -> tuple[int, np.ndarray, np
     return n, m_pairs, probs
 
 
-def _sample_indices(
-    rng: np.random.Generator, tables: tuple[int, np.ndarray, np.ndarray]
-) -> np.ndarray:
-    """Draw the edge set: Binomial counts per distance class, then members.
-
-    ``tables`` are the model's ``_class_tables``.  Returns the global pair
-    index of each edge, in no particular order.
-    """
-    n, m_pairs, probs = tables
-    counts = rng.binomial(m_pairs, probs)
-    return _select_class_members(rng, n, m_pairs, counts)
-
-
 def _decode_indices(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(j, u, v) per global pair index: edge (u, v) is the pair (u, (u + d) mod n)
     of the class j = d - 1, which enumerates its pairs as u = 0..m_d-1 and so
@@ -418,8 +435,23 @@ def _decode_indices(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     return j, u, v
 
 
-def _fast_key(params: ModelParams, replicate: int) -> tuple[int, int]:
-    """Key of the stream that sample_fast draws replicate ``replicate`` from."""
+def _decode_batch(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u, v) per batch pair index of _sample_indices, as vertices of the
+    disjoint union of the rings, in which ring i's vertex x is i*n + x."""
+    ring, idx = np.divmod(idx, n * (n // 2))
+    _, u, v = _decode_indices(n, idx)
+    ring *= n
+    u += ring
+    v += ring
+    return u, v
+
+
+def _fast_key(params: ModelParams, replicate):
+    """Key of the stream that sample_fast draws replicate ``replicate`` from.
+
+    An integer array of replicates gives two arrays of key words (see
+    ``stream_key``).
+    """
     return stream_key(
         params.seed, "sample:fast", params.kernel.spec_string(), params.n, float(params.c), replicate
     )
@@ -434,7 +466,7 @@ def sample_fast(params: ModelParams, replicate: int = 0) -> Graph:
     """Distance-class sampler; same law as sample_naive, O(n + |E|) work."""
     n = params.n
     tables = _class_tables(n, params.c, params.kernel)
-    idx = _sample_indices(_fast_stream(params, replicate), tables)
+    idx = _sample_indices([_fast_stream(params, replicate)], tables)
     _, u, v = _decode_indices(n, idx)
     return Graph(n, canonical_edges(n, u, v), _validated=True)
 
@@ -453,7 +485,7 @@ def sample_filtration(
     params = ModelParams(n=n, c=c_max, kernel=kernel, seed=seed)
     rng = stream(seed, "filtration", kernel.spec_string(), n, float(c_max), replicate)
     tables = _class_tables(n, params.c, kernel)
-    idx = _sample_indices(rng, tables)
+    idx = _sample_indices([rng], tables)
     # Activations are drawn in increasing global-index order.  The indices
     # are a concatenation of sorted runs, so a stable (merging) sort is cheap.
     idx.sort(kind="stable")
@@ -575,6 +607,10 @@ def write_edge_list(path: str | Path, graph: Graph, params: ModelParams) -> None
 
 
 def _parse_header(line: str) -> dict:
+    """n, alpha (as written), c and seed of a v1 header line.
+
+    Each key appears once, and c is finite and >= 0.
+    """
     if not line.startswith(_HEADER_MAGIC):
         raise ValueError(f"not an alphagraph v1 file (header {line!r})")
     fields: dict[str, str] = {}
@@ -582,14 +618,19 @@ def _parse_header(line: str) -> dict:
         key, sep, value = tok.partition("=")
         if not sep:
             raise ValueError(f"bad header token {tok!r}")
+        if key in fields:
+            raise ValueError(f"header repeats {key} (header {line!r})")
         fields[key] = value
     missing = [key for key in ("n", "alpha", "c", "seed") if key not in fields]
     if missing:
         raise ValueError(f"header lacks {', '.join(missing)} (header {line!r})")
+    c = float(fields["c"])
+    if not (math.isfinite(c) and c >= 0):
+        raise ValueError(f"header needs finite c >= 0, got c={fields['c']} (header {line!r})")
     return {
         "n": int(fields["n"]),
         "alpha": fields["alpha"],
-        "c": float(fields["c"]),
+        "c": c,
         "seed": int(fields["seed"]),
     }
 

@@ -17,6 +17,12 @@ part's two words, then runs ``generate_state``'s output hash.  Its keys equal
 ``SeedSequence(seed, spawn_key=key_words(*parts)).generate_state(2,
 np.uint64)``, which the tests use as the oracle.
 
+The last part may also be a 1-d integer array, such as a run of replicate
+indices: the same mixing code then runs on uint64 arrays (each word is
+masked to 32 bits after every multiply, so wrapping at 2^64 changes
+nothing), and ``stream_key`` returns the two key words as arrays, one entry
+per element.  One call keys a whole batch of replicates.
+
 ``stream`` returns a fresh generator on every call, one that cannot
 ``spawn``.  ``rekey`` resets a generator in place to counter 0 under
 another key, for a fraction of the cost of building one.  Re-key only a
@@ -58,12 +64,17 @@ def _string_value(part: str) -> int:
     return int.from_bytes(digest, "little")
 
 
-def key_words(*parts: object) -> tuple[int, ...]:
-    """Fold strings/ints/floats into uint32 words for a SeedSequence spawn key."""
-    words: list[int] = []
+def key_words(*parts: object) -> tuple:
+    """Fold strings/ints/floats into uint32 words for a SeedSequence spawn key.
+
+    An integer array part folds into two uint64 arrays of words.
+    """
+    words: list = []
     for part in parts:
         if isinstance(part, str):
             value = _string_value(part)
+        elif isinstance(part, np.ndarray):
+            value = _array_value(part)
         elif isinstance(part, (bool, np.bool_)):
             raise TypeError("bool is not a valid stream key part")
         elif isinstance(part, (int, np.integer)):
@@ -77,6 +88,15 @@ def key_words(*parts: object) -> tuple[int, ...]:
         words.append(value & _MASK32)
         words.append(value >> 32)
     return tuple(words)
+
+
+def _array_value(part: np.ndarray) -> np.ndarray:
+    """A 1-d integer array key part as uint64, each entry checked like an int part."""
+    if part.ndim != 1 or not np.issubdtype(part.dtype, np.integer):
+        raise TypeError(f"an array key part must be 1-d integers, got {part.dtype} of shape {part.shape}")
+    if part.size and np.issubdtype(part.dtype, np.signedinteger) and part.min() < 0:
+        raise ValueError(f"integer key part out of 64-bit range: {part.min()}")
+    return part.astype(np.uint64)
 
 
 def _hashmix(value: int, const: int) -> tuple[int, int]:
@@ -125,11 +145,13 @@ def _mixed_prefix(master_seed: int, prefix: tuple[int, ...]) -> tuple[tuple[int,
     return tuple(pool), const
 
 
-def stream_key(master_seed: int, *parts: object) -> tuple[int, int]:
+def stream_key(master_seed: int, *parts: object) -> tuple:
     """Philox key, two uint64 words, of the (master_seed, *parts) stream.
 
     Needs at least one part: the last part's words are absorbed per call, the
-    rest come from the prefix cache.
+    rest come from the prefix cache.  If the last part is a 1-d integer
+    array, the two words are uint64 arrays: entry i keys the stream whose
+    last part is that array's entry i.
     """
     if not isinstance(master_seed, (int, np.integer)):
         raise TypeError(f"master seed must be an integer, got {master_seed!r}")

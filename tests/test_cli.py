@@ -21,21 +21,30 @@ def run(argv):
     return main(argv)
 
 
+def modules_loaded_by_cli_import() -> list[str]:
+    """sys.modules after a fresh process imports alphagraph.cli."""
+    src = str(Path(alphagraph.__file__).resolve().parents[1])
+    path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    code = "import sys, alphagraph, alphagraph.cli; print(*sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout.split()
+
+
 class TestImports:
     def test_cli_import_does_not_load_scipy(self):
         # scipy is a test-only dependency, and importing it would add a few
         # tenths of a second to every CLI process
-        src = str(Path(alphagraph.__file__).resolve().parents[1])
-        path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-        code = (
-            "import sys, alphagraph, alphagraph.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        assert out.stdout.strip() == "[]"
+        assert [m for m in modules_loaded_by_cli_import() if m.split(".")[0] == "scipy"] == []
+
+    def test_cli_import_does_not_load_the_process_pool(self):
+        # only a multi-worker run builds a pool; the modules behind one cost
+        # every other command ~30 ms of start-up
+        loaded = modules_loaded_by_cli_import()
+        assert "concurrent.futures.process" not in loaded
+        assert [m for m in loaded if m.split(".")[0] == "multiprocessing"] == []
 
 
 class TestSample:
@@ -131,6 +140,8 @@ class TestComponentsCommand:
         [
             ("# alphagraph v1 alpha=1.0 c=2.0 seed=1", "header lacks n "),
             ("# alphagraph v1 n=0 alpha=1.0 c=2.0 seed=1", "need n >= 1, got 0"),
+            ("# alphagraph v1 n=5 n=7 alpha=1.0 c=2.0 seed=1", "header repeats n "),
+            ("# alphagraph v1 n=5 alpha=1.0 c=nan seed=1", "finite c >= 0, got c=nan"),
         ],
     )
     def test_bad_header_exits_1(self, tmp_path, capsys, header, message):

@@ -28,7 +28,7 @@ from alphagraph.model import (
     TabulatedKernel,
     class_edge_probs,
 )
-from alphagraph.sampler import Graph, sample_fast
+from alphagraph.sampler import Graph, _class_tables, _fast_stream, sample_fast
 
 MASTER = 20260809
 
@@ -112,7 +112,9 @@ class TestReplicateJobs:
     def test_batches_split_a_job_mid_cell(self):
         # batch=2: the job's 7 replicates are labelled in passes of 2+2+2+1
         params = ModelParams.make(64, 1.0, 2.0, seed=MASTER)
-        whole = experiments._batch_stats(params, 0, 7, omega=8)
+        tables = _class_tables(params.n, params.c, params.kernel)
+        rngs = [_fast_stream(params, rep) for rep in range(7)]
+        whole = experiments._batch_stats(tables, rngs, omega=8)
         (rows,) = experiments._run_replicates(experiments._sweep_run, [(params, 2, 8)], 7, 1)
         for got, want in zip(np.array(rows).T, whole):
             np.testing.assert_array_equal(got, want)

@@ -290,6 +290,11 @@ class TestFiltration:
         with pytest.raises(ValueError):
             Filtration(4, 1.0, PowerLawKernel(1.0), np.array([[0, 1]]), np.array([0.5, 0.6]))
 
+    @pytest.mark.parametrize("c_max", [0.0, -3.0, math.nan, math.inf])
+    def test_rejects_c_max_without_rows(self, c_max):
+        with pytest.raises(ValueError, match="c_max > 0"):
+            Filtration(4, c_max, PowerLawKernel(1.0), np.empty((0, 2)), np.empty(0))
+
     def test_boundaries(self):
         f = sample_filtration(64, PowerLawKernel(1.0), 2.0, seed=5)
         full = subgraph_at(f, 2.0)
@@ -517,6 +522,30 @@ class TestFileBodies:
         path.write_text(" ".join(t for t in HEADER.split() if not t.startswith(f"{field}=")))
         with pytest.raises(ValueError, match=f"header lacks {field} "):
             reader(path)
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("n=5 n=7 alpha=1.0 c=nan seed=1", "header repeats n "),  # once read as n=7
+            ("n=5 alpha=1.0 c=2.0 c=3.0 seed=1", "header repeats c "),
+            ("n=5 alpha=1.0 c=nan seed=1", "finite c >= 0, got c=nan"),
+            ("n=5 alpha=1.0 c=inf seed=1", "finite c >= 0, got c=inf"),
+            ("n=5 alpha=1.0 c=-3 seed=1", "finite c >= 0, got c=-3"),
+        ],
+    )
+    @pytest.mark.parametrize("reader", [read_edge_list, read_filtration])
+    def test_rejects_header_fields(self, tmp_path, reader, header, message):
+        path = tmp_path / "f"
+        path.write_text(f"# alphagraph v1 {header}\n")
+        with pytest.raises(ValueError, match=message):
+            reader(path)
+
+    def test_filtration_at_c_0_without_rows_rejected(self, tmp_path):
+        path = tmp_path / "f"
+        path.write_text(HEADER.replace("c=2.0", "c=0.0"))
+        assert read_edge_list(path)[0] == Graph(5, np.empty((0, 2)))  # a graph at c=0 is empty
+        with pytest.raises(ValueError, match="c_max > 0"):
+            read_filtration(path)
 
     @pytest.mark.parametrize(
         "reader, body",

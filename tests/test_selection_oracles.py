@@ -1,7 +1,7 @@
 """Oracles for the global pair index: its closed-form decode, and class
 selection by merge-only rejection rounds with scalar-bound draws, each
-against the offsets-table code it replaced.  A change in either would
-change sampled bits."""
+against the offsets-table code it replaced, and lockstep batches against
+independent rings.  A change in any of them would change sampled bits."""
 
 import math
 
@@ -13,9 +13,10 @@ from alphagraph.sampler import (
     _MERGE_MIN_CHOSEN,
     MAX_PAIR_KEY_N,
     _class_tables,
+    _decode_batch,
     _decode_indices,
     _fast_stream,
-    _select_class_members,
+    _sample_indices,
 )
 
 
@@ -100,16 +101,54 @@ SELECTION_GRID = [
 @pytest.mark.parametrize("n, alpha, c", SELECTION_GRID)
 def test_merge_rounds_equal_resorting_rounds(n, alpha, c):
     params = ModelParams.make(n, alpha, c, seed=11)
-    _, m_pairs, probs = _class_tables(n, params.c, params.kernel)
+    tables = _class_tables(n, params.c, params.kernel)
+    _, m_pairs, probs = tables
     offsets = offsets_of(m_pairs)
     for rep in range(8 if n < 10**5 else 2):
         ours, ref = _fast_stream(params, rep), _fast_stream(params, rep)
-        counts = ours.binomial(m_pairs, probs)
-        np.testing.assert_array_equal(counts, ref.binomial(m_pairs, probs))
-        got = _select_class_members(ours, n, m_pairs, counts)
+        counts = ref.binomial(m_pairs, probs)
+        got = _sample_indices([ours], tables)
         want = select_by_resorting(ref, m_pairs, counts, offsets)
         np.testing.assert_array_equal(np.sort(got), np.sort(want))
         assert got.size == counts.sum() == np.unique(got).size
         assert ours.integers(0, 2**62) == ref.integers(0, 2**62)
     if n == 10**5:
         assert got.size > _MERGE_MIN_CHOSEN  # the merge rounds ran
+
+
+# Every class kind: n=2 rings are clamped whole, n=3 and the nearest-neighbour
+# kernel at c=0.9 have dense classes, and c=0 draws no edge.  At n=1025 and
+# c=2 a batch of 17 rings chooses ~17k keys, so its rounds merge.
+LOCKSTEP_GRID = [(n, alpha, c) for n, alpha, c in SELECTION_GRID if n < 10**5] + [
+    (n, alpha, c) for n in (2, 3) for alpha in (0.0, 3.0, math.inf) for c in (0.0, 0.5, 0.9, 2.0)
+] + [(64, 1.0, 0.0), (1025, 3.0, 0.0)]
+
+
+@pytest.mark.parametrize("rings", [1, 3, 17])
+@pytest.mark.parametrize("n, alpha, c", LOCKSTEP_GRID)
+def test_lockstep_batch_equals_independent_rings(n, alpha, c, rings):
+    params = ModelParams.make(n, alpha, c, seed=5)
+    tables = _class_tables(n, params.c, params.kernel)
+    _, m_pairs, probs = tables
+    offsets = offsets_of(m_pairs)
+    ours = [_fast_stream(params, rep) for rep in range(rings)]
+    got = _sample_indices(ours, tables)
+    assert np.unique(got).size == got.size
+    ring, idx = np.divmod(got, n * (n // 2))
+    u, v = _decode_batch(n, got)
+    _, want_u, want_v = _decode_indices(n, idx)
+    np.testing.assert_array_equal(u, want_u + ring * n)
+    np.testing.assert_array_equal(v, want_v + ring * n)
+    for rep, rng in enumerate(ours):
+        ref = _fast_stream(params, rep)
+        want = select_by_resorting(ref, m_pairs, ref.binomial(m_pairs, probs), offsets)
+        np.testing.assert_array_equal(np.sort(idx[ring == rep]), np.sort(want))
+        assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
+
+
+def test_batch_whose_index_overflows_int64_is_refused():
+    n = 2**31  # one ring's n * (n // 2) = 2^61 pair indices fit; five rings' do not
+    empty = np.empty(0)
+    rngs = [np.random.default_rng(0) for _ in range(5)]
+    with pytest.raises(ValueError, match="overflow"):
+        _sample_indices(rngs, (n, empty, empty))

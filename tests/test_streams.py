@@ -54,6 +54,33 @@ def test_numpy_integer_seed_and_parts():
     assert stream_key(np.uint64(2**63), *parts) == oracle_key(2**63, *parts)
 
 
+@pytest.mark.filterwarnings("error")
+def test_array_last_part_equals_scalar_keys():
+    reps = np.array([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1], dtype=np.uint64)
+    for seed in SEEDS:
+        for prefix in PREFIXES:
+            for array in (reps, np.arange(3), reps[:0]):
+                k0, k1 = stream_key(seed, *prefix, array)
+                assert k0.dtype == k1.dtype == np.uint64
+                got = list(zip(k0.tolist(), k1.tolist()))
+                assert got == [stream_key(seed, *prefix, rep) for rep in array.tolist()]
+
+
+@pytest.mark.parametrize(
+    "array, error",
+    [
+        (np.array([0, -1]), ValueError),
+        (np.array([0.0, 1.0]), TypeError),
+        (np.array([True]), TypeError),
+        (np.arange(4).reshape(2, 2), TypeError),
+        (np.array(3), TypeError),
+    ],
+)
+def test_invalid_array_parts_raise(array, error):
+    with pytest.raises(error):
+        stream_key(0, "sample:fast", array)
+
+
 def test_stream_draws_equal_seed_sequence_philox():
     for seed in (0, 2**32, 2**128):
         for prefix in PREFIXES:
@@ -118,6 +145,6 @@ def test_batch_rekeyed_generator_draws_like_a_fresh_fast_stream():
     rng = _fast_stream(params, 0)
     for rep in (0, 1, 2, 2**32 + 1):
         rekey(rng, _fast_key(params, rep))
-        got = _sample_indices(rng, tables)
-        want = _sample_indices(_fast_stream(params, rep), tables)
+        got = _sample_indices([rng], tables)
+        want = _sample_indices([_fast_stream(params, rep)], tables)
         np.testing.assert_array_equal(got, want)
