@@ -6,6 +6,33 @@ f(d) = 1/d**alpha spans classical Erdos-Renyi graphs (alpha=0) through
 long-range percolation to nearest-neighbor bond percolation (alpha=inf).
 """
 
+
+def _start_openblas_with_one_thread() -> None:
+    """Load numpy with OpenBLAS limited to one thread, unless told otherwise.
+
+    No alphagraph code path calls BLAS, so the thread count cannot change a
+    result; it only spares every process the pool that OpenBLAS starts at
+    load, one thread per core, each spinning ~0.1 s of CPU before it sleeps.
+    OpenBLAS reads the variable once, when numpy loads it, so it is removed
+    again and child processes see the caller's environment.  A thread count
+    the user set (in any variable OpenBLAS reads), or an earlier numpy
+    import, wins.
+    """
+    import os
+    import sys
+
+    blas_vars = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    if "numpy" in sys.modules or any(v in os.environ for v in blas_vars):
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
+
+_start_openblas_with_one_thread()
+
 from .branching import (
     DegreePGF,
     GWResult,

@@ -21,16 +21,48 @@ def run(argv):
     return main(argv)
 
 
-def modules_loaded_by_cli_import() -> list[str]:
-    """sys.modules after a fresh process imports alphagraph.cli."""
+# The variables OpenBLAS reads for its thread count, in its order of precedence.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def run_fresh(code: str, **env: str) -> str:
+    """stdout of a fresh process that runs `code` with alphagraph importable.
+
+    The process starts with none of BLAS_THREAD_VARS set, then with `env`.
+    """
     src = str(Path(alphagraph.__file__).resolve().parents[1])
     path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    code = "import sys, alphagraph, alphagraph.cli; print(*sys.modules)"
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    full_env = dict(base, PYTHONPATH=os.pathsep.join(path), **env)
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=full_env, capture_output=True, text=True, check=True
     )
-    return out.stdout.split()
+    return out.stdout
+
+
+def modules_loaded_by_cli_import() -> list[str]:
+    """sys.modules after a fresh process imports alphagraph.cli."""
+    return run_fresh("import sys, alphagraph, alphagraph.cli; print(*sys.modules)").split()
+
+
+def blas_env_after_import(numpy_first: bool = False, **env: str) -> dict:
+    """What `import alphagraph` does to OPENBLAS_NUM_THREADS in a fresh process.
+
+    "writes" lists the os.putenv/os.unsetenv audit events on that variable
+    during the import, and "after" is its value in os.environ afterwards.
+    """
+    code = f"""
+import json, os, sys
+{"import numpy" if numpy_first else ""}
+writes = []
+sys.addaudithook(
+    lambda e, a: writes.append(e)
+    if e in ("os.putenv", "os.unsetenv") and a[0] == b"OPENBLAS_NUM_THREADS" else None
+)
+import alphagraph
+print(json.dumps({{"writes": writes, "after": os.environ.get("OPENBLAS_NUM_THREADS")}}))
+"""
+    return json.loads(run_fresh(code, **env))
 
 
 class TestImports:
@@ -45,6 +77,26 @@ class TestImports:
         loaded = modules_loaded_by_cli_import()
         assert "concurrent.futures.process" not in loaded
         assert [m for m in loaded if m.split(".")[0] == "multiprocessing"] == []
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) == 1,
+        reason="needs /proc/self/task and more than one CPU",
+    )
+    def test_import_starts_openblas_with_one_thread(self):
+        # OpenBLAS would otherwise start one idle, spinning thread per CPU
+        code = "import os, alphagraph.cli; print(len(os.listdir('/proc/self/task')))"
+        assert run_fresh(code).strip() == "1"
+
+    def test_one_thread_start_leaves_no_variable_behind(self):
+        assert blas_env_after_import() == {"writes": ["os.putenv", "os.unsetenv"], "after": None}
+
+    @pytest.mark.parametrize("var", BLAS_THREAD_VARS)
+    def test_a_preset_thread_count_wins(self, var):
+        expected = "2" if var == "OPENBLAS_NUM_THREADS" else None
+        assert blas_env_after_import(**{var: "2"}) == {"writes": [], "after": expected}
+
+    def test_an_earlier_numpy_import_wins(self):
+        assert blas_env_after_import(numpy_first=True) == {"writes": [], "after": None}
 
 
 class TestSample:

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alphagraph.model import (
     ModelParams,
@@ -40,6 +42,16 @@ BAD_VERTEX_COUNTS = [
 def pair_distances(graph: Graph) -> np.ndarray:
     a = graph.edges[:, 1] - graph.edges[:, 0]
     return np.minimum(a, graph.n - a)
+
+
+def assert_canonical_on_support(graph: Graph, params: ModelParams) -> None:
+    """Rows u < v with strictly increasing keys u*n + v, endpoints in [0, n),
+    and no pair from a distance class of edge probability 0."""
+    n, u, v = graph.n, graph.edges[:, 0], graph.edges[:, 1]
+    assert graph.edges.shape[1] == 2
+    assert np.all((0 <= u) & (u < v) & (v < n))
+    assert np.all(np.diff(u * n + v) > 0)
+    assert np.all(class_edge_probs(params)[pair_distances(graph) - 1] > 0)
 
 
 class TestGraphType:
@@ -567,3 +579,26 @@ class TestFileBodies:
         filt, _ = read_filtration(path)
         assert filt.edges.tolist() == [[0, 1], [1, 2]]
         assert filt.activation.tolist() == [0.5, 1.25]
+
+
+class TestCanonicalSupportProperty:
+    """Every sampler yields canonical rows on the law's support, at small n."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 64),
+        alpha=st.sampled_from([0.0, 1.0, 3.0, math.inf]),
+        c=st.floats(0.0, 4.0),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_all_three_samplers(self, n, alpha, c, seed):
+        params = ModelParams.make(n, alpha, c, seed=seed)
+        graphs = [sample_fast(params), sample_naive(params)]
+        if c > 0:
+            filt = sample_filtration(n, params.kernel, 4.0, seed)
+            graphs.append(subgraph_at(filt, c))
+        for graph in graphs:
+            assert graph.n == n
+            assert_canonical_on_support(graph, params)
+            if alpha == math.inf:
+                assert np.all(pair_distances(graph) == 1)
