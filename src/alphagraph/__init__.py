@@ -48,18 +48,6 @@ from .components import (
     components,
     omega_for,
 )
-from .experiments import (
-    BlockStats,
-    SprinklingResult,
-    SweepResult,
-    SweepSpec,
-    TriangleStats,
-    block_connectivity,
-    conjecture_probe,
-    run_sweep,
-    sprinkling_experiment,
-    triangle_stats,
-)
 from .model import (
     Kernel,
     ModelParams,
@@ -92,3 +80,19 @@ from .sampler import (
 )
 
 __version__ = "0.1.0"
+
+# The experiment drivers load on first use (PEP 562), so that commands that
+# run none of them never import alphagraph.experiments.
+_EXPERIMENT_NAMES = {
+    "BlockStats", "SprinklingResult", "SweepResult", "SweepSpec", "TriangleStats",
+    "block_connectivity", "conjecture_probe", "run_sweep", "sprinkling_experiment",
+    "triangle_stats",
+}
+
+
+def __getattr__(name: str):
+    if name in _EXPERIMENT_NAMES:
+        from . import experiments
+
+        return getattr(experiments, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

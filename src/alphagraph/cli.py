@@ -2,9 +2,10 @@
 
 Subcommands: sample, components, gw-rho, sweep, blocks, triangles, sprinkle,
 probe.  build_parser decides whether an argv is well formed, before any
-sampling; a malformed argv exits 2.  All outputs are written atomically
-(temp file + rename) and every file output gets a ``<out>.json`` sidecar
-echoing the exact run configuration.  ALPHAGRAPH_WORKERS overrides --workers.
+sampling; a malformed argv exits 2.  sampler writes every output file
+atomically (temp file + rename), and _sidecar gives each one a ``<out>.json``
+echoing the exact run configuration.  Only the commands that run a driver
+import experiments.  ALPHAGRAPH_WORKERS overrides --workers.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 import sys
 from dataclasses import asdict
 
-from . import branching, experiments
+from . import branching, sampler
 from .components import components, omega_for
 from .model import Kernel, ModelParams, kernel_for_alpha, parse_kernel
 from .sampler import MAX_PAIR_KEY_N, read_edge_list, sample_fast, write_edge_list
@@ -115,7 +116,8 @@ def _config_echo(args) -> dict:
 
 def _sidecar(args, **payload) -> None:
     """<out>.json: payload (sweep and probe pass their spec), then the config."""
-    experiments.write_json_sidecar(f"{args.out}.json", {**payload, "config": _config_echo(args)})
+    text = json.dumps({**payload, "config": _config_echo(args)}, indent=2, default=str) + "\n"
+    sampler.atomic_write(f"{args.out}.json", lambda fh: fh.write(text))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -138,6 +140,7 @@ def _check_gw_rho(parser, args) -> None:
 
 def _check_blocks(parser, args) -> None:
     """block_connectivity's rules, for every block size at its rounded n."""
+    from . import experiments
     for m in args.ms:
         try:
             experiments.check_blocks(args.n // m * m, m, args.block_distance)
@@ -256,7 +259,7 @@ def cmd_components(args) -> int:
         "fraction": summary.fraction,
         "n_components": summary.n_components,
     }
-    experiments.write_rows_csv(args.out, list(row), [row])  # stdout without --out
+    sampler.write_rows_csv(args.out, list(row), [row])  # stdout without --out
     if args.out:
         _sidecar(args)
     print(
@@ -284,6 +287,7 @@ def cmd_gw_rho(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from . import experiments
     spec = experiments.SweepSpec(
         alphas=args.alphas,
         cs=args.cs,
@@ -300,6 +304,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_blocks(args) -> int:
+    from . import experiments
     kernel = _kernel_from_args(args)
     fields = ["m", "n", "n_blocks", "adjacent_connect_freq", "nonadjacent_connect_freq",
               "samples", "replicates"]
@@ -316,17 +321,18 @@ def cmd_blocks(args) -> int:
         )
         rows.extend({"n": n_adj, **asdict(st)} for st in stats)
     rows.sort(key=lambda r: r["m"])
-    experiments.write_rows_csv(args.out, fields, rows)
+    sampler.write_rows_csv(args.out, fields, rows)
     _sidecar(args)
     print(f"blocks: {len(rows)} block sizes -> {args.out}")
     return 0
 
 
 def cmd_triangles(args) -> int:
+    from . import experiments
     params = ModelParams(n=args.n, c=args.c, kernel=_kernel_from_args(args), seed=args.seed)
     stats = experiments.triangle_replicates(params, args.reps)
     rows = [{"replicate": rep, **asdict(st)} for rep, st in enumerate(stats)]
-    experiments.write_rows_csv(args.out, list(rows[0]), rows)
+    sampler.write_rows_csv(args.out, list(rows[0]), rows)
     _sidecar(args)
     mean_t = sum(r["triangles_per_vertex"] for r in rows) / len(rows)
     print(f"triangles: mean triangles/vertex {mean_t:.6g} over {args.reps} replicates -> {args.out}")
@@ -334,13 +340,14 @@ def cmd_triangles(args) -> int:
 
 
 def cmd_sprinkle(args) -> int:
+    from . import experiments
     result = experiments.sprinkling_experiment(
         n=args.n, kernel=_kernel_from_args(args), c_prime=args.cprime, delta=args.delta,
         omega=omega_for(args.omega, args.n), replicates=args.reps, master_seed=args.seed,
         workers=args.workers,
     )
     rows = [asdict(r) for r in result.records]
-    experiments.write_rows_csv(args.out, list(rows[0]), rows)
+    sampler.write_rows_csv(args.out, list(rows[0]), rows)
     _sidecar(args)
     print(
         f"sprinkle: merged {result.merged_fraction:.0%}, nesting {result.nesting_fraction:.0%} "
@@ -350,6 +357,7 @@ def cmd_sprinkle(args) -> int:
 
 
 def cmd_probe(args) -> int:
+    from . import experiments
     result = experiments.conjecture_probe(
         _kernel_from_args(args),
         ns=args.ns,

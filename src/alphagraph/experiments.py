@@ -13,16 +13,14 @@ of a cell that raises, in replicate order, becomes the cell's error,
 written "replicates [start, stop): Type: message".  The grid drivers
 (run_sweep, conjecture_probe) record it in the failing cell and go on; the
 single-parameter drivers (block_connectivity, sprinkling_experiment,
-triangle_replicates) raise it as a RuntimeError.
+triangle_replicates) raise it as a RuntimeError.  Files are written by
+sampler; write_sweep_csv only lays a grid result out as CSV rows.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import os
-import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -37,9 +35,9 @@ from .sampler import (
     _decode_batch,
     _fast_key,
     _sample_indices,
-    atomic_write,
     sample_fast,
     sample_filtration,
+    write_rows_csv,
 )
 from .streams import keyed_stream, rekey, stream
 
@@ -58,14 +56,7 @@ __all__ = [
     "SprinklingResult",
     "sprinkling_experiment",
     "write_sweep_csv",
-    "write_json_sidecar",
-    "format_float",
 ]
-
-
-def format_float(x: float) -> str:
-    """17 significant digits: enough to round-trip any double exactly."""
-    return format(float(x), ".17g")
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -255,14 +246,17 @@ def _sweep_run(params: ModelParams, batch: int, omega: int, start: int, stop: in
 
 
 def _run_cells(
-    cells: list[tuple[Kernel, float | None, float, int]],
+    kernels: list[Kernel],
+    cs: tuple[float, ...],
+    ns: tuple[int, ...],
     replicates: int,
     omega_rule: str,
     master_seed: int,
     workers: int | None,
     predict: str = "alpha<=1",
 ) -> list[CellResult]:
-    """Sample every replicate of every cell, in batches, and summarize each cell.
+    """Sample every replicate of every (kernel, c, n) cell, in batches, and
+    summarize each cell, in that nested order.
 
     Each run of consecutive replicates of a cell works through them in
     batches of at most _BATCH_VERTICES vertices: each replicate is drawn on
@@ -274,23 +268,26 @@ def _run_cells(
     runs = [
         (ModelParams(n=n, c=c, kernel=kernel, seed=master_seed),
          max(1, _BATCH_VERTICES // n), omega_for(omega_rule, n))
-        for kernel, _alpha, c, n in cells
+        for kernel in kernels
+        for c in cs
+        for n in ns
     ]
     outputs = _run_replicates(_sweep_run, runs, replicates, resolve_workers(workers))
     results: list[CellResult] = []
-    for (kernel, alpha, c, n), (_params, _batch, omega), out in zip(cells, runs, outputs):
+    for (params, _batch, omega), out in zip(runs, outputs):
+        alpha = kernel_alpha(params.kernel)
         predicted = None
         if predict == "always" or (predict == "alpha<=1" and alpha is not None and alpha <= 1):
-            predicted = rho_limit(c) if c > 0 else 0.0
+            predicted = rho_limit(params.c) if params.c > 0 else 0.0
         error = str(out) if isinstance(out, RuntimeError) else None
-        stats = np.full((1, 3), math.nan) if error else np.array(out, dtype=np.float64) / n
+        stats = np.full((1, 3), math.nan) if error else np.array(out, dtype=np.float64) / params.n
         fr, second, bfr = stats.T
         results.append(
             CellResult(
-                kernel=kernel.spec_string(),
+                kernel=params.kernel.spec_string(),
                 alpha=alpha,
-                c=c,
-                n=n,
+                c=params.c,
+                n=params.n,
                 replicates=replicates,
                 omega=omega,
                 mean_fraction=float(fr.mean()),
@@ -312,14 +309,9 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     Cells supercritical by the branching prediction carry the Poisson
     survival probability rho(c) for alpha <= 1.
     """
-    cells = [
-        (kernel_for_alpha(alpha), alpha, c, n)
-        for alpha in spec.alphas
-        for c in spec.cs
-        for n in spec.ns
-    ]
+    kernels = [kernel_for_alpha(alpha) for alpha in spec.alphas]
     results = _run_cells(
-        cells, spec.replicates, spec.omega_rule, spec.master_seed, workers
+        kernels, spec.cs, spec.ns, spec.replicates, spec.omega_rule, spec.master_seed, workers
     )
     echo = asdict(spec)
     return SweepResult(spec=echo, cells=results)
@@ -341,9 +333,8 @@ def conjecture_probe(
     whose normalizer stays bounded are expected to fall away from it as n
     grows.
     """
-    cells = [(kernel, kernel_alpha(kernel), c, n) for c in cs for n in ns]
     results = _run_cells(
-        cells, replicates, omega_rule, master_seed, workers, predict="always"
+        [kernel], cs, ns, replicates, omega_rule, master_seed, workers, predict="always"
     )
     echo = dict(
         kernel=kernel.spec_string(),
@@ -354,6 +345,13 @@ def conjecture_probe(
         master_seed=master_seed,
     )
     return SweepResult(spec=echo, cells=results)
+
+
+def write_sweep_csv(path: str | Path, result: SweepResult) -> None:
+    """One row per grid cell, columns named after the CellResult fields."""
+    fields = list(CellResult.__dataclass_fields__)
+    rows = [asdict(cell) for cell in result.cells]
+    write_rows_csv(path, fields, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -665,44 +663,3 @@ def sprinkling_experiment(
         omega=omega,
         records=records,
     )
-
-
-# ---------------------------------------------------------------------------
-# Output files
-# ---------------------------------------------------------------------------
-
-
-def _csv_value(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return format_float(x)
-    return str(x)
-
-
-def write_rows_csv(path: str | Path | None, fieldnames: list[str], rows: list[dict]) -> None:
-    """CSV, floats at 17 significant digits, written atomically (to stdout if no path)."""
-
-    def body(fh, lineterminator="\r\n"):
-        writer = csv.writer(fh, lineterminator=lineterminator)
-        writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow([_csv_value(row[k]) for k in fieldnames])
-
-    if path:
-        atomic_write(path, body)
-    else:
-        body(sys.stdout, "\n")
-
-
-def write_sweep_csv(path: str | Path, result: SweepResult) -> None:
-    """One row per grid cell, columns named after the CellResult fields."""
-    fields = list(CellResult.__dataclass_fields__)
-    rows = [asdict(cell) for cell in result.cells]
-    write_rows_csv(path, fields, rows)
-
-
-def write_json_sidecar(path: str | Path, payload: dict) -> None:
-    """Provenance sidecar: the full spec/config that produced an output."""
-    text = json.dumps(payload, indent=2, default=str) + "\n"
-    atomic_write(path, lambda fh: fh.write(text))

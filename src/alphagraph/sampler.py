@@ -12,13 +12,16 @@ Three routes to a realization of the ring model:
   c' <= c_max can be read off one draw monotonically (sprinkling).
 
 Edge lists are canonical: shape (m, 2) int64 arrays with u < v per row,
-rows sorted lexicographically.
+rows sorted lexicographically.  Every file (edge list, filtration, CSV,
+sidecar) is written through atomic_write, floats at 17 significant digits.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 import os
+import sys
 import tempfile
 import warnings
 from functools import lru_cache
@@ -502,7 +505,7 @@ def sample_filtration(
 
 
 # ---------------------------------------------------------------------------
-# Edge-list files
+# Files
 # ---------------------------------------------------------------------------
 
 _HEADER_MAGIC = "# alphagraph v1"
@@ -527,6 +530,34 @@ def atomic_write(path: str | Path, write_body, mode: str = "w") -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def format_float(x: float) -> str:
+    """17 significant digits, as ``%.17g``: enough to round-trip any double exactly."""
+    return format(float(x), ".17g")
+
+
+def _csv_value(x) -> str:
+    if x is None:
+        return ""
+    if isinstance(x, float):
+        return format_float(x)
+    return str(x)
+
+
+def write_rows_csv(path: str | Path | None, fieldnames: list[str], rows: list[dict]) -> None:
+    """CSV, floats at 17 significant digits, written atomically (to stdout if no path)."""
+
+    def body(fh, lineterminator="\r\n"):
+        writer = csv.writer(fh, lineterminator=lineterminator)
+        writer.writerow(fieldnames)
+        for row in rows:
+            writer.writerow([_csv_value(row[k]) for k in fieldnames])
+
+    if path:
+        atomic_write(path, body)
+    else:
+        body(sys.stdout, "\n")
 
 
 # Rows formatted per write; bounds the text buffer at a few MB.

@@ -12,9 +12,10 @@ import pytest
 import alphagraph
 from alphagraph.cli import build_parser, main
 from alphagraph.components import components
-from alphagraph.experiments import format_float, triangle_stats
+from alphagraph import experiments
+from alphagraph.experiments import triangle_stats
 from alphagraph.model import ModelParams
-from alphagraph.sampler import MAX_PAIR_KEY_N, read_edge_list, sample_fast
+from alphagraph.sampler import MAX_PAIR_KEY_N, format_float, read_edge_list, sample_fast
 
 
 def run(argv):
@@ -65,7 +66,59 @@ print(json.dumps({{"writes": writes, "after": os.environ.get("OPENBLAS_NUM_THREA
     return json.loads(run_fresh(code, **env))
 
 
+# The package names that load alphagraph.experiments on first use.
+EXPERIMENT_NAMES = (
+    "BlockStats",
+    "SprinklingResult",
+    "SweepResult",
+    "SweepSpec",
+    "TriangleStats",
+    "block_connectivity",
+    "conjecture_probe",
+    "run_sweep",
+    "sprinkling_experiment",
+    "triangle_stats",
+)
+
+
 class TestImports:
+    def test_cli_import_does_not_load_the_experiment_drivers(self):
+        # sample, components and gw-rho run no driver, and should not pay to
+        # compile and import them
+        assert "alphagraph.experiments" not in modules_loaded_by_cli_import()
+
+    def test_sample_components_and_gw_rho_do_not_load_the_experiment_drivers(self, tmp_path):
+        edges, csv_out = str(tmp_path / "g.edges"), str(tmp_path / "c.csv")
+        code = f"""
+import sys
+from alphagraph.cli import main
+assert main(["sample", "--n", "200", "--alpha", "1", "--c", "2", "--out", {edges!r}]) == 0
+assert main(["components", "--in", {edges!r}]) == 0
+assert main(["components", "--in", {edges!r}, "--out", {csv_out!r}]) == 0
+assert main(["gw-rho", "--c", "2", "--n", "1000", "--alpha", "1"]) == 0
+print("alphagraph.experiments" in sys.modules)
+"""
+        assert run_fresh(code).splitlines()[-1] == "False"
+
+    def test_components_stays_the_function_after_the_drivers_load(self):
+        code = """
+import alphagraph, alphagraph.experiments
+from alphagraph import components
+from alphagraph.components import components as function
+print(alphagraph.components is function, components is function)
+"""
+        assert run_fresh(code).split() == ["True", "True"]
+
+    @pytest.mark.parametrize("name", EXPERIMENT_NAMES)
+    def test_deferred_name_is_the_driver_object(self, name):
+        assert getattr(alphagraph, name) is getattr(experiments, name)
+
+    def test_unknown_package_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            alphagraph.no_such_name  # noqa: B018
+        with pytest.raises(ImportError):
+            from alphagraph import no_such_name  # noqa: F401
+
     def test_cli_import_does_not_load_scipy(self):
         # scipy is a test-only dependency, and importing it would add a few
         # tenths of a second to every CLI process
@@ -336,6 +389,47 @@ class TestOtherCommands:
         graph, header = read_edge_list(out)
         assert graph.n == 200
         assert header["alpha"].startswith("custom:")
+
+
+class TestSidecars:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--n", "200", "--alpha", "1", "--c", "2", "--seed", "3"],
+            ["components"],
+            ["sweep", "--alphas", "1,inf", "--cs", "0.5,2", "--ns", "64", "--reps", "2",
+             "--workers", "1"],
+            ["probe", "--kernel", "powerlog:alpha=1.0,beta=1.0", "--cs", "2", "--ns", "64,128",
+             "--reps", "2", "--workers", "1"],
+            ["blocks", "--n", "256", "--alpha", "3", "--c", "0.9", "--ms", "16,32", "--reps", "2",
+             "--workers", "1"],
+            ["triangles", "--n", "200", "--alpha", "1.5", "--c", "1.2", "--reps", "2"],
+            ["sprinkle", "--n", "200", "--alpha", "1", "--cprime", "1.5", "--delta", "0.5",
+             "--omega", "5", "--reps", "2", "--workers", "1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_sidecar_echoes_the_parsed_argv(self, tmp_path, argv):
+        if argv[0] == "components":
+            edges = str(tmp_path / "in.edges")
+            assert run(["sample", "--n", "200", "--alpha", "1", "--c", "2", "--out", edges]) == 0
+            argv = [*argv, "--in", edges]
+        argv = [*argv, "--out", str(tmp_path / "out")]
+        assert run(argv) == 0
+        text = (tmp_path / "out.json").read_text()
+        assert text.endswith("}\n")
+        sidecar = json.loads(text)
+        parsed = vars(build_parser().parse_args(argv))
+        del parsed["func"]
+        config = {k: list(v) if isinstance(v, tuple) else v for k, v in parsed.items()}
+        assert sidecar["config"] == config
+        if argv[0] in ("sweep", "probe"):
+            assert list(sidecar) == ["spec", "config"]
+            keys = ("cs", "ns", "replicates", "omega_rule", "master_seed")
+            flags = ("cs", "ns", "reps", "omega_rule", "seed")
+            assert [sidecar["spec"][k] for k in keys] == [config[f] for f in flags]
+        else:
+            assert list(sidecar) == ["config"]
 
 
 class TestErrorPaths:

@@ -1,5 +1,4 @@
 import csv
-import json
 import math
 
 import numpy as np
@@ -13,11 +12,9 @@ from alphagraph.experiments import (
     TriangleStats,
     block_connectivity,
     conjecture_probe,
-    format_float,
     run_sweep,
     sprinkling_experiment,
     triangle_stats,
-    write_json_sidecar,
     write_sweep_csv,
 )
 from alphagraph.model import (
@@ -28,7 +25,7 @@ from alphagraph.model import (
     TabulatedKernel,
     class_edge_probs,
 )
-from alphagraph.sampler import Graph, _class_tables, _fast_stream, sample_fast
+from alphagraph.sampler import Graph, _class_tables, _fast_stream, format_float, sample_fast
 
 MASTER = 20260809
 
@@ -387,12 +384,6 @@ class TestOutputFiles:
         assert float(row["mean_fraction"]) == result.cells[0].mean_fraction
         assert row["kernel"] == "power:alpha=1.0"
         assert row["predicted_rho"] == format_float(rho_limit(2.0))
-
-    def test_sidecar(self, tmp_path):
-        out = tmp_path / "x.json"
-        write_json_sidecar(out, {"config": {"command": "sweep", "seed": 3}})
-        payload = json.loads(out.read_text())
-        assert payload["config"]["seed"] == 3
 
     def test_format_float_roundtrip(self):
         for x in (1 / 3, 0.7968121300200200, 1e-17, 123456.789):
