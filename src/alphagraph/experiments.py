@@ -33,10 +33,10 @@ from .sampler import (
     Graph,
     _class_tables,
     _decode_batch,
+    _draw_filtration,
     _fast_key,
     _sample_indices,
     sample_fast,
-    sample_filtration,
     write_rows_csv,
 )
 from .streams import keyed_stream, rekey, stream
@@ -219,8 +219,13 @@ def _batch_stats(
     u, v = _decode_batch(n, _sample_indices(rngs, tables))
     sizes = np.bincount(_label_edges(r * n, u, v), minlength=r * n).reshape(r, n)
     b_count = np.where(sizes >= omega, sizes, 0).sum(axis=1)
-    top = np.partition(sizes, n - 2, axis=1)
-    return top[:, n - 1], top[:, n - 2], b_count
+    # Largest, then the largest left once one entry of it is zeroed: equal
+    # to the largest when two components tie for it.
+    rows = np.arange(r)
+    top = sizes.argmax(axis=1)
+    largest = sizes[rows, top]
+    sizes[rows, top] = 0
+    return largest, sizes.max(axis=1), b_count
 
 
 def _sweep_run(params: ModelParams, batch: int, omega: int, start: int, stop: int) -> list:
@@ -584,29 +589,32 @@ def _sprinkle_run(
 ) -> list[SprinkleRecord]:
     """One record per replicate; params.c is the upper level c' + delta.
 
-    Each replicate draws one filtration with c_max = c' + delta, and one
-    mask splits its edges into those open at c' and the later ones.  The
-    c' labels come from the early edges alone; the c'+delta labels come
-    from labelling only the later edges on top of them, each edge joining
-    the c' labels of its endpoints.  Labels are component minima, and a
-    merged component's minimum is the smallest of the c' minima it
-    contains, so the composed labels equal a fresh labelling of the whole
-    filtration.  The whole filtration is the c'+delta graph because
-    sample_filtration opens every edge by c_max.  nested_ok records that
-    this held, i.e. no activation exceeds c'+delta; it is what makes the c'
-    graph a subgraph of the c'+delta graph and the composed labels exact.
+    Each replicate draws the pairs and activations of one filtration with
+    c_max = c' + delta (_draw_filtration, the draw behind
+    sample_filtration), and one mask splits its pairs into those open at c'
+    and the later ones.  The pairs stay in the draw's order: labels are
+    component minima, which no edge order changes, so no canonical
+    Filtration is built.  The c' labels come from the early pairs alone;
+    the c'+delta labels come from labelling only the later pairs on top of
+    them, each pair joining the c' labels of its endpoints.  A merged
+    component's minimum is the smallest of the c' minima it contains, so
+    the composed labels equal a fresh labelling of the whole draw.  The
+    whole draw is the c'+delta graph because every drawn edge opens by
+    c_max.  nested_ok records that this held, i.e. no activation exceeds
+    c'+delta; it is what makes the c' graph a subgraph of the c'+delta
+    graph and the composed labels exact.
     """
     n = params.n
     records = []
     for rep in range(start, stop):
-        filt = sample_filtration(n, params.kernel, params.c, params.seed, replicate=rep)
-        early = filt.activation <= c_prime
-        before, later = filt.edges[early], filt.edges[~early]
+        u, v, activation = _draw_filtration(n, params.kernel, params.c, params.seed, rep)
+        early = activation <= c_prime
+        later = ~early
 
-        labels1 = _label_edges(n, *before.T)
+        labels1 = _label_edges(n, u[early], v[early])
         sizes1 = np.bincount(labels1, minlength=n)
         b_mask = sizes1[labels1] >= omega
-        labels2 = _label_edges(n, labels1[later[:, 0]], labels1[later[:, 1]])[labels1]
+        labels2 = _label_edges(n, labels1[u[later]], labels1[v[later]])[labels1]
         sizes2 = np.bincount(labels2, minlength=n)
         b_labels = labels2[b_mask]
         merged = bool((b_labels == b_labels[:1]).all())  # True for an empty B too
@@ -617,7 +625,7 @@ def _sprinkle_run(
                 merged=merged,
                 fraction_before=float(sizes1.max() / n),
                 fraction_after=float(sizes2.max() / n),
-                nested_ok=bool(filt.activation.max(initial=0.0) <= params.c),
+                nested_ok=bool(activation.max(initial=0.0) <= params.c),
             )
         )
     return records
@@ -635,17 +643,19 @@ def sprinkling_experiment(
 ) -> SprinklingResult:
     """Two-stage construction: sample at c', then raise the level to c'+delta.
 
-    Each replicate draws one filtration up to c'+delta and splits its edges
-    once, at c'.  Stage one is the early edges; stage two is all of them,
-    so it contains stage one's edges by construction.  nested_ok records
-    per replicate that stage two is the c'+delta graph: no edge opens
-    above c'+delta.  Stage two's labels are composed on stage one's: only
-    the later edges are labelled, between the c' component minima they
-    join, which gives exactly the labels of a fresh labelling at c'+delta.
-    For each replicate this reports the fraction of vertices in components
-    of size >= omega at c', whether those vertices all land in a single
-    component at c'+delta, and the largest-component fractions at both
-    levels.
+    Each replicate draws the edges of one filtration up to c'+delta, those
+    sample_filtration would return, and splits them once, at c'.  They are
+    labelled in the order they are drawn, not sorted into a Filtration:
+    component labels do not depend on edge order.  Stage one is the early
+    edges; stage two is all of them, so it contains stage one's edges by
+    construction.  nested_ok records per replicate that stage two is the
+    c'+delta graph: no edge opens above c'+delta.  Stage two's labels are
+    composed on stage one's: only the later edges are labelled, between the
+    c' component minima they join, which gives exactly the labels of a
+    fresh labelling at c'+delta.  For each replicate this reports the
+    fraction of vertices in components of size >= omega at c', whether
+    those vertices all land in a single component at c'+delta, and the
+    largest-component fractions at both levels.
     """
     if not c_prime > 0:
         raise ValueError(f"need c' > 0, got {c_prime}")

@@ -474,14 +474,15 @@ def sample_fast(params: ModelParams, replicate: int = 0) -> Graph:
     return Graph(n, canonical_edges(n, u, v), _validated=True)
 
 
-def sample_filtration(
-    n: int, kernel: Kernel, c_max: float, seed: int, replicate: int = 0
-) -> Filtration:
-    """Coupled sample exposing the graph at every level c' <= c_max.
+def _draw_filtration(
+    n: int, kernel: Kernel, c_max: float, seed: int, replicate: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, v, activation) of the edges open by c_max, in global-index order.
 
-    Conditioned on opening by level c_max, an edge's uniform variable is
-    uniform below its threshold, so its activation is uniform on
-    (0, min(c_max, h/f(d))].  Unrealized pairs are never materialized.
+    The one draw behind sample_filtration, which sorts it into canonical
+    rows, and behind the sprinkle replicates, which only label components
+    and so need no edge order.  The pairs are not canonical rows: v may
+    be below u.  _check_draw checks what Filtration would.
     """
     if not c_max > 0:
         raise ValueError(f"need c_max > 0, got {c_max}")
@@ -498,7 +499,39 @@ def sample_filtration(
     cap = np.minimum(c_max, h / kernel.values(n)[j])
     # 1 - U is uniform on (0, 1], keeping activations strictly positive.
     activation = (1.0 - rng.random(j.shape[0])) * cap
+    _check_draw(n, c_max, idx, activation)
+    return u, v, activation
 
+
+def _check_draw(n: int, c_max: float, idx: np.ndarray, activation: np.ndarray) -> None:
+    """Raise ValueError unless a draw holds distinct pairs with levels in (0, c_max].
+
+    ``idx`` are the draw's sorted global pair indices.  Decoding is a
+    bijection from [0, n*(n//2)) onto the unordered pairs, so in-range,
+    strictly increasing indices are in-range, duplicate-free pairs: what
+    Filtration checks of its canonical rows, checked in index space.
+    """
+    if idx.size and not (idx[0] >= 0 and idx[-1] < n * (n // 2)):
+        raise ValueError("pair index out of range")
+    if not (idx[1:] > idx[:-1]).all():
+        raise ValueError("pair indices must be sorted and duplicate-free")
+    if activation.size and not (
+        activation.min() > 0 and activation.max() <= c_max * (1 + 1e-15)
+    ):
+        raise ValueError("activation levels must lie in (0, c_max]")
+
+
+def sample_filtration(
+    n: int, kernel: Kernel, c_max: float, seed: int, replicate: int = 0
+) -> Filtration:
+    """Coupled sample exposing the graph at every level c' <= c_max.
+
+    Conditioned on opening by level c_max, an edge's uniform variable is
+    uniform below its threshold, so its activation is uniform on
+    (0, min(c_max, h/f(d))].  Unrealized pairs are never materialized.
+    The edges are those of _draw_filtration, sorted into canonical rows.
+    """
+    u, v, activation = _draw_filtration(n, kernel, c_max, seed, replicate)
     keys = _pair_keys(n, u, v)
     order = np.argsort(keys)
     return Filtration(n, c_max, kernel, _keys_to_rows(n, keys[order]), activation[order])

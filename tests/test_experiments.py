@@ -8,6 +8,7 @@ from scipy.stats import spearmanr
 from alphagraph import experiments
 from alphagraph.branching import rho_limit
 from alphagraph.experiments import (
+    SprinkleRecord,
     SweepSpec,
     TriangleStats,
     block_connectivity,
@@ -24,8 +25,18 @@ from alphagraph.model import (
     PowerLogKernel,
     TabulatedKernel,
     class_edge_probs,
+    parse_kernel,
 )
-from alphagraph.sampler import Graph, _class_tables, _fast_stream, format_float, sample_fast
+from alphagraph.components import component_labels
+from alphagraph.sampler import (
+    Graph,
+    _class_tables,
+    _fast_stream,
+    format_float,
+    sample_fast,
+    sample_filtration,
+    subgraph_at,
+)
 
 MASTER = 20260809
 
@@ -346,20 +357,48 @@ class TestSprinkling:
         # A filtration drawn past c'+delta is not the c'+delta graph: the
         # replicates whose draw holds an edge above c'+delta are not nested.
         n, kernel, c_prime, delta, reps = 16, PowerLawKernel(1.0), 0.3, 0.2, 12
-        draw = experiments.sample_filtration
+        draw = experiments._draw_filtration
 
         def wide(n, kernel, c_max, seed, replicate):
             return draw(n, kernel, 1.25 * c_max, seed, replicate)
 
         monkeypatch.delenv("ALPHAGRAPH_WORKERS", raising=False)
-        monkeypatch.setattr(experiments, "sample_filtration", wide)
+        monkeypatch.setattr(experiments, "_draw_filtration", wide)
         res = sprinkling_experiment(n, kernel, c_prime, delta, 2, reps, master_seed=3, workers=1)
         above = [
-            wide(n, kernel, c_prime + delta, 3, rep).activation.max(initial=0.0) > c_prime + delta
+            wide(n, kernel, c_prime + delta, 3, rep)[2].max(initial=0.0) > c_prime + delta
             for rep in range(reps)
         ]
         assert any(above) and not all(above)
         assert [not rec.nested_ok for rec in res.records] == above
+
+    @pytest.mark.parametrize("delta", [0.0, 0.5])
+    @pytest.mark.parametrize("spec", ["power:alpha=1", "nn", "powerlog:alpha=1.0,beta=1.0"])
+    @pytest.mark.parametrize("n", [2, 3, 16, 3000])
+    def test_records_match_the_canonical_route(self, monkeypatch, n, spec, delta):
+        # Each record recomputed from the public filtration, its subgraphs at
+        # c' and c'+delta, and a fresh labelling of each.
+        kernel, c_prime, omega, reps, seed = parse_kernel(spec), 1.5, 1 + n // 10, 6, 11
+        expected = []
+        for rep in range(reps):
+            filt = sample_filtration(n, kernel, c_prime + delta, seed, replicate=rep)
+            labels1, sizes1 = component_labels(subgraph_at(filt, c_prime))
+            labels2, sizes2 = component_labels(subgraph_at(filt, c_prime + delta))
+            b_mask = sizes1[labels1] >= omega
+            expected.append(
+                SprinkleRecord(
+                    replicate=rep,
+                    b_fraction=float(b_mask.sum() / n),
+                    merged=len(set(labels2[b_mask].tolist())) <= 1,
+                    fraction_before=float(sizes1.max() / n),
+                    fraction_after=float(sizes2.max() / n),
+                    nested_ok=bool(filt.activation.max(initial=0.0) <= c_prime + delta),
+                )
+            )
+        monkeypatch.delenv("ALPHAGRAPH_WORKERS", raising=False)
+        for workers in (1, 2):
+            res = sprinkling_experiment(n, kernel, c_prime, delta, omega, reps, seed, workers)
+            assert res.records == expected
 
     def test_validation(self):
         k = PowerLawKernel(1.0)

@@ -370,6 +370,55 @@ class TestFiltration:
         assert f.activation.max() <= 2.5
 
 
+class TestFiltrationDraw:
+    """The draw behind sample_filtration, and the checks it makes itself."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 64),
+        alpha=st.sampled_from([0.0, 1.0, 3.0, math.inf]),
+        c_max=st.floats(0.0, 4.0, exclude_min=True),
+        seed=st.integers(0, 2**64 - 1),
+        replicate=st.integers(0, 5),
+    )
+    def test_sorted_draw_is_the_filtration(self, n, alpha, c_max, seed, replicate):
+        kernel = ModelParams.make(n, alpha, c_max).kernel
+        u, v, activation = sampler._draw_filtration(n, kernel, c_max, seed, replicate)
+        keys = np.minimum(u, v) * n + np.maximum(u, v)
+        order = np.argsort(keys)
+        filt = sample_filtration(n, kernel, c_max, seed, replicate)
+        rows = np.column_stack([keys[order] // n, keys[order] % n])
+        assert np.array_equal(rows, filt.edges)
+        assert np.array_equal(activation[order], filt.activation)
+
+    @pytest.mark.parametrize(
+        "idx, activation, message",
+        [
+            ([1, 3, 3], [0.5, 0.5, 0.5], "duplicate-free"),
+            ([3, 1], [0.5, 0.5], "duplicate-free"),
+            ([1, 3, 5], [0.5, 0.0, 0.5], r"\(0, c_max\]"),
+            ([1, 3], [0.5, 2.5], r"\(0, c_max\]"),
+            ([-1, 3], [0.5, 0.5], "out of range"),
+            ([3, 32], [0.5, 0.5], "out of range"),  # n * (n // 2) = 32 at n = 8
+        ],
+    )
+    def test_check_rejects(self, idx, activation, message):
+        with pytest.raises(ValueError, match=message):
+            sampler._check_draw(8, 2.0, np.array(idx), np.array(activation))
+        sampler._check_draw(8, 2.0, np.array([0, 1, 31]), np.array([1e-300, 1.0, 2.0]))
+
+    def test_draw_runs_its_check(self, monkeypatch):
+        sample_indices = sampler._sample_indices
+
+        def repeat_first(rngs, tables):
+            idx = sample_indices(rngs, tables)
+            return np.concatenate([idx, idx[:1]])
+
+        monkeypatch.setattr(sampler, "_sample_indices", repeat_first)
+        with pytest.raises(ValueError, match="duplicate-free"):
+            sampler._draw_filtration(64, PowerLawKernel(1.0), 2.0, 5, 0)
+
+
 class TestEdgeListFiles:
     def test_roundtrip(self, tmp_path):
         params = ModelParams.make(200, 1.0, 2.0, seed=77)
