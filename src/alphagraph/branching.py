@@ -77,10 +77,7 @@ class DegreePGF:
         with np.errstate(divide="ignore"):
             np.log1p(logs, out=logs)
         np.multiply(self.mu, logs, out=logs)
-        total = logs.sum()
-        if total == -np.inf:
-            return 0.0
-        return float(np.exp(total))
+        return float(np.exp(logs.sum()))
 
     def mean(self) -> float:
         # fsum reads the floats through the buffer, without a list of them
@@ -193,6 +190,4 @@ def rho_limit(c: float, tol: float = DEFAULT_TOL) -> float:
     """
     if not (c > 0 and math.isfinite(c)):
         raise ValueError(f"need finite c > 0, got {c}")
-    if c <= 1.0:
-        return 0.0
     return extinction(PoissonPGF(c), tol).survival_rho

@@ -44,17 +44,21 @@ def _float_arg(text: str) -> float:
     return value
 
 
-def _at_least(parse, low, kind: str, strict: bool = False):
-    """Flag parsed by parse, then checked >= low (> low if strict); nan fails."""
-    op = ">" if strict else ">="
+def _at_least(parse, low, kind: str, strict: bool = False, below=None):
+    """Flag parsed by parse, then checked >= low (> low if strict) and, if
+    below is given, < below; nan fails."""
+    name = f"{kind} {'>' if strict else '>='} {low}"
+    if below is not None:
+        name += f" and < {below}"
 
     def check(text: str):
         value = parse(text)
-        if not (value > low or value == low and not strict):
-            raise argparse.ArgumentTypeError(f"expected {kind} {op} {low}, got {text!r}")
+        above_low = value > low or value == low and not strict
+        if not (above_low and (below is None or value < below)):
+            raise argparse.ArgumentTypeError(f"expected {name}, got {text!r}")
         return value
 
-    check.__name__ = f"{kind} {op} {low}"
+    check.__name__ = name
     return check
 
 
@@ -77,6 +81,7 @@ _nonneg_float_arg = _at_least(_float_arg, 0, "number")  # edge densities, increm
 _pos_float_arg = _at_least(_float_arg, 0, "number", strict=True)  # solver tolerance, c'
 _pos_int_arg = _at_least(_int_arg, 1, "integer")  # counts, block sizes, pair caps
 _int_from_2_arg = _at_least(_int_arg, 2, "integer")  # block distances, gw-rho's finite-n law
+_seed_arg = _at_least(_int_arg, 0, "integer", below=2**64)  # master seeds are 64-bit unsigned
 # A cutoff rule is resolved per ring size n, and resolving it at any n checks
 # it.  A custom:<path> table is read when the command runs (exit 1 if unreadable).
 _omega_arg = _text_checked(lambda rule: omega_for(rule, 2))
@@ -166,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     density.add_argument("--c", type=_nonneg_float_arg, required=True)
 
     p = sub.add_parser("sample", parents=[density], help="sample one graph to an edge-list file")
-    p.add_argument("--seed", type=_int_arg, default=0)
+    p.add_argument("--seed", type=_seed_arg, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)
 
@@ -188,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cs", type=_list_arg(_nonneg_float_arg), required=True)
     p.add_argument("--ns", type=_list_arg(_ring_size_arg), required=True)
     p.add_argument("--reps", type=_pos_int_arg, default=10)
-    p.add_argument("--seed", type=_int_arg, default=0)
+    p.add_argument("--seed", type=_seed_arg, default=0)
     p.add_argument("--omega-rule", type=_omega_arg, default="log4")
     p.add_argument("--workers", type=_pos_int_arg, default=None)
     p.add_argument("--out", required=True)
@@ -198,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.check = _check_blocks
     p.add_argument("--ms", type=_list_arg(_pos_int_arg), required=True)
     p.add_argument("--reps", type=_pos_int_arg, default=20)
-    p.add_argument("--seed", type=_int_arg, default=0)
+    p.add_argument("--seed", type=_seed_arg, default=0)
     p.add_argument("--pairs-cap", type=_pos_int_arg, default=1000)
     p.add_argument("--block-distance", type=_int_from_2_arg, default=2,
                    help="circular block distance probed for non-adjacent pairs")
@@ -208,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("triangles", parents=[density], help="triangle statistics over replicates")
     p.add_argument("--reps", type=_pos_int_arg, default=20)
-    p.add_argument("--seed", type=_int_arg, default=0)
+    p.add_argument("--seed", type=_seed_arg, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_triangles)
 
@@ -218,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", type=_omega_arg, default="log4",
                    help='cutoff: integer, "log4", or "loglog"')
     p.add_argument("--reps", type=_pos_int_arg, default=20)
-    p.add_argument("--seed", type=_int_arg, default=0)
+    p.add_argument("--seed", type=_seed_arg, default=0)
     p.add_argument("--workers", type=_pos_int_arg, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sprinkle)
@@ -228,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cs", type=_list_arg(_nonneg_float_arg), required=True)
     p.add_argument("--ns", type=_list_arg(_ring_size_arg), required=True)
     p.add_argument("--reps", type=_pos_int_arg, default=10)
-    p.add_argument("--seed", type=_int_arg, default=0)
+    p.add_argument("--seed", type=_seed_arg, default=0)
     p.add_argument("--omega-rule", type=_omega_arg, default="log4")
     p.add_argument("--workers", type=_pos_int_arg, default=None)
     p.add_argument("--out", required=True)

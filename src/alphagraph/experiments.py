@@ -29,17 +29,8 @@ import numpy as np
 from .branching import rho_limit
 from .components import _label_edges, omega_for
 from .model import Kernel, ModelParams, kernel_alpha, kernel_for_alpha
-from .sampler import (
-    Graph,
-    _class_tables,
-    _decode_batch,
-    _draw_filtration,
-    _fast_key,
-    _sample_indices,
-    sample_fast,
-    write_rows_csv,
-)
-from .streams import keyed_stream, rekey, stream
+from .sampler import Graph, _draw_filtration, _fast_batches, sample_fast, write_rows_csv
+from .streams import stream
 
 __all__ = [
     "SweepSpec",
@@ -203,51 +194,28 @@ class SweepResult:
 _BATCH_VERTICES = 1 << 14
 
 
-def _batch_stats(
-    tables: tuple[int, np.ndarray, np.ndarray], rngs: list[np.random.Generator], omega: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Largest, second-largest and b_count of the ring drawn on each generator.
+def _sweep_run(params: ModelParams, omega: int, start: int, stop: int) -> list:
+    """[largest, second-largest, b_count] per replicate.
 
-    ``tables`` are the cell's ``_class_tables``.  The rings are drawn in
-    lockstep (see _sample_indices) as one disjoint union, in which ring i's
-    vertices are shifted by i*n, and a single labelling pass splits it into
-    components.  Labels are component minima, so ring i's labels stay in
-    row i of the (r, n) size table.
+    The replicates come in batches of at most _BATCH_VERTICES vertices
+    (_fast_batches), each a disjoint union of rings in which ring i's
+    vertices are shifted by i*n.  A single labelling pass splits a batch
+    into components; labels are component minima, so ring i's labels stay
+    in row i of the (r, n) size table.
     """
-    n = tables[0]
-    r = len(rngs)
-    u, v = _decode_batch(n, _sample_indices(rngs, tables))
-    sizes = np.bincount(_label_edges(r * n, u, v), minlength=r * n).reshape(r, n)
-    b_count = np.where(sizes >= omega, sizes, 0).sum(axis=1)
-    # Largest, then the largest left once one entry of it is zeroed: equal
-    # to the largest when two components tie for it.
-    rows = np.arange(r)
-    top = sizes.argmax(axis=1)
-    largest = sizes[rows, top]
-    sizes[rows, top] = 0
-    return largest, sizes.max(axis=1), b_count
-
-
-def _sweep_run(params: ModelParams, batch: int, omega: int, start: int, stop: int) -> list:
-    """[largest, second-largest, b_count] per replicate, ``batch`` replicates per pass.
-
-    Replicate i is drawn on its own sample_fast stream.  One call keys every
-    replicate of the run, and one list of generators serves every batch:
-    each is re-keyed to its next replicate's stream, which is safe because
-    the list never leaves this call.
-    """
-    tables = _class_tables(params.n, params.c, params.kernel)
-    k0, k1 = _fast_key(params, np.arange(start, stop))
-    keys = list(zip(k0.tolist(), k1.tolist()))
-    rngs: list[np.random.Generator] = []
+    n = params.n
     stats = []
-    for s in range(0, len(keys), batch):
-        chunk = keys[s : s + batch]
-        for rng, key in zip(rngs, chunk):
-            rekey(rng, key)
-        rngs += [keyed_stream(key) for key in chunk[len(rngs) :]]
-        stats.append(_batch_stats(tables, rngs[: len(chunk)], omega))
-    return np.concatenate([np.stack(columns, axis=1) for columns in stats]).tolist()
+    for r, u, v in _fast_batches(params, start, stop, max(1, _BATCH_VERTICES // n)):
+        sizes = np.bincount(_label_edges(r * n, u, v), minlength=r * n).reshape(r, n)
+        b_count = np.where(sizes >= omega, sizes, 0).sum(axis=1)
+        # Largest, then the largest left once one entry of it is zeroed: equal
+        # to the largest when two components tie for it.
+        rows = np.arange(r)
+        top = sizes.argmax(axis=1)
+        largest = sizes[rows, top]
+        sizes[rows, top] = 0
+        stats.append(np.stack([largest, sizes.max(axis=1), b_count], axis=1))
+    return np.concatenate(stats).tolist()
 
 
 def _run_cells(
@@ -260,26 +228,23 @@ def _run_cells(
     workers: int | None,
     predict: str = "alpha<=1",
 ) -> list[CellResult]:
-    """Sample every replicate of every (kernel, c, n) cell, in batches, and
-    summarize each cell, in that nested order.
+    """Sample every replicate of every (kernel, c, n) cell and summarize each
+    cell, in that nested order.
 
-    Each run of consecutive replicates of a cell works through them in
-    batches of at most _BATCH_VERTICES vertices: each replicate is drawn on
-    its own stream, and one labelling pass over the batch's disjoint union
-    gives every replicate's statistics (see _batch_stats).  Results depend
-    neither on the worker count nor on the batching.  A failing cell records
-    its error and NaN statistics; other cells go on.
+    Each run of consecutive replicates of a cell is one _sweep_run, which
+    labels them in batches.  Results depend neither on the worker count nor
+    on the batching.  A failing cell records its error and NaN statistics;
+    other cells go on.
     """
     runs = [
-        (ModelParams(n=n, c=c, kernel=kernel, seed=master_seed),
-         max(1, _BATCH_VERTICES // n), omega_for(omega_rule, n))
+        (ModelParams(n=n, c=c, kernel=kernel, seed=master_seed), omega_for(omega_rule, n))
         for kernel in kernels
         for c in cs
         for n in ns
     ]
     outputs = _run_replicates(_sweep_run, runs, replicates, resolve_workers(workers))
     results: list[CellResult] = []
-    for (params, _batch, omega), out in zip(runs, outputs):
+    for (params, omega), out in zip(runs, outputs):
         alpha = kernel_alpha(params.kernel)
         predicted = None
         if predict == "always" or (predict == "alpha<=1" and alpha is not None and alpha <= 1):

@@ -304,11 +304,6 @@ class ModelParams:
         return cls(n=n, c=c, kernel=kernel_for_alpha(alpha), seed=seed)
 
     @property
-    def alpha(self) -> float | None:
-        """Exponent when the kernel is in the power-law family, else None."""
-        return kernel_alpha(self.kernel)
-
-    @property
     def h(self) -> float:
         return normalizer(self.n, self.kernel).value
 

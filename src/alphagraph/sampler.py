@@ -40,7 +40,7 @@ from .model import (
     normalizer,
     parse_kernel,
 )
-from .streams import keyed_stream, stream, stream_key
+from .streams import keyed_stream, rekey, stream, stream_key
 
 __all__ = [
     "Graph",
@@ -73,11 +73,8 @@ class Graph:
                 edges = canonical_edges(n, edges[:, 0], edges[:, 1])
                 if fault := _canonical_fault(n, edges):
                     raise ValueError(fault)
-            elif isinstance(given, np.ndarray) and np.may_share_memory(edges, given):
-                edges = edges.copy()  # the graph is frozen, the caller's array is not
-        edges.setflags(write=False)
         self.n = int(n)
-        self.edges = edges
+        self.edges = _frozen(edges, None if _validated else given)
         self._adj = None
 
     @property
@@ -107,6 +104,15 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.num_edges})"
+
+
+def _frozen(array: np.ndarray, given) -> np.ndarray:
+    """``array`` made read-only, copied first if it shares memory with the
+    caller's ``given``: the object is frozen, the caller's array is not."""
+    if isinstance(given, np.ndarray) and np.may_share_memory(array, given):
+        array = array.copy()
+    array.setflags(write=False)
+    return array
 
 
 def _check_vertex_count(n: int) -> None:
@@ -165,6 +171,8 @@ class Filtration:
     activation is the smallest c at which that happens, i.e. U*h/f(d).
     ``subgraph_at(c)`` therefore has exactly the law of the model at
     parameter c, for every 0 < c <= c_max, and the subgraphs are nested.
+    ``_validated`` marks fresh arrays of a draw that _check_draw checked:
+    they are neither checked again nor copied.
     """
 
     __slots__ = ("n", "c_max", "kernel", "edges", "activation")
@@ -176,26 +184,24 @@ class Filtration:
         kernel: Kernel,
         edges: np.ndarray,
         activation: np.ndarray,
+        _validated: bool = False,
     ):
-        edges = np.ascontiguousarray(edges, dtype=np.int64).reshape(-1, 2)
-        activation = np.ascontiguousarray(activation, dtype=np.float64)
-        if not (math.isfinite(c_max) and c_max > 0):
-            raise ValueError(f"need finite c_max > 0, got {c_max}")
-        if fault := _canonical_fault(n, edges):
-            raise ValueError(fault)
-        if activation.shape[0] != edges.shape[0]:
-            raise ValueError("one activation level per edge required")
-        if activation.size and not (
-            activation.min() > 0 and activation.max() <= c_max * (1 + 1e-15)
-        ):
-            raise ValueError("activation levels must lie in (0, c_max]")
-        edges.setflags(write=False)
-        activation.setflags(write=False)
+        rows = np.ascontiguousarray(edges, dtype=np.int64).reshape(-1, 2)
+        levels = np.ascontiguousarray(activation, dtype=np.float64)
+        if not _validated:
+            if not (math.isfinite(c_max) and c_max > 0):
+                raise ValueError(f"need finite c_max > 0, got {c_max}")
+            if fault := _canonical_fault(n, rows):
+                raise ValueError(fault)
+            if levels.shape[0] != rows.shape[0]:
+                raise ValueError("one activation level per edge required")
+            if levels.size and not (levels.min() > 0 and levels.max() <= c_max * (1 + 1e-15)):
+                raise ValueError("activation levels must lie in (0, c_max]")
         self.n = int(n)
         self.c_max = float(c_max)
         self.kernel = kernel
-        self.edges = edges
-        self.activation = activation
+        self.edges = _frozen(rows, None if _validated else edges)
+        self.activation = _frozen(levels, None if _validated else activation)
 
     @property
     def num_edges(self) -> int:
@@ -465,6 +471,31 @@ def _fast_stream(params: ModelParams, replicate: int) -> np.random.Generator:
     return keyed_stream(_fast_key(params, replicate))
 
 
+def _fast_batches(params: ModelParams, start: int, stop: int, batch: int):
+    """Yield (r, u, v) per batch of sample_fast replicates start, ..., stop-1.
+
+    A batch holds up to ``batch`` consecutive replicates, r of them, each
+    drawn on its own sample_fast stream, in lockstep (see _sample_indices).
+    (u, v) are their edges as one disjoint union, in which ring i's vertex
+    x is i*n + x (_decode_batch); the pairs are not canonical rows.  One
+    call keys every replicate, and one list of generators serves every
+    batch: each is re-keyed to its next replicate's stream, which is safe
+    because the list never leaves this generator.
+    """
+    n = params.n
+    tables = _class_tables(n, params.c, params.kernel)
+    k0, k1 = _fast_key(params, np.arange(start, stop))
+    keys = list(zip(k0.tolist(), k1.tolist()))
+    rngs: list[np.random.Generator] = []
+    for s in range(0, len(keys), batch):
+        chunk = keys[s : s + batch]
+        for rng, key in zip(rngs, chunk):
+            rekey(rng, key)
+        rngs += [keyed_stream(key) for key in chunk[len(rngs) :]]
+        u, v = _decode_batch(n, _sample_indices(rngs[: len(chunk)], tables))
+        yield len(chunk), u, v
+
+
 def sample_fast(params: ModelParams, replicate: int = 0) -> Graph:
     """Distance-class sampler; same law as sample_naive, O(n + |E|) work."""
     n = params.n
@@ -534,7 +565,8 @@ def sample_filtration(
     u, v, activation = _draw_filtration(n, kernel, c_max, seed, replicate)
     keys = _pair_keys(n, u, v)
     order = np.argsort(keys)
-    return Filtration(n, c_max, kernel, _keys_to_rows(n, keys[order]), activation[order])
+    rows = _keys_to_rows(n, keys[order])
+    return Filtration(n, c_max, kernel, rows, activation[order], _validated=True)
 
 
 # ---------------------------------------------------------------------------

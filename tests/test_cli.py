@@ -481,6 +481,12 @@ class TestErrorPaths:
              f"argument --ns: ring size '5e9' exceeds {MAX_PAIR_KEY_N}"),
             (["probe", "--kernel", "nn", "--cs", "1", "--ns", "5e9", "--reps", "1"],
              "argument --ns: ring size"),
+            # master seeds are 64-bit unsigned integers
+            (["sample", "--n", "100", "--alpha", "1", "--c", "1", "--seed", "-1"],
+             "argument --seed: expected integer >= 0 and < 18446744073709551616, got '-1'"),
+            (["sweep", "--alphas", "1", "--cs", "1", "--ns", "64",
+              "--seed", "18446744073709551616"],
+             "argument --seed: expected integer >= 0 and < 18446744073709551616"),
         ],
     )
     def test_malformed_argv_exits_2_before_sampling(

@@ -27,11 +27,11 @@ from alphagraph.model import (
     class_edge_probs,
     parse_kernel,
 )
-from alphagraph.components import component_labels
+from alphagraph.components import component_labels, components
 from alphagraph.sampler import (
     Graph,
-    _class_tables,
-    _fast_stream,
+    _fast_batches,
+    canonical_edges,
     format_float,
     sample_fast,
     sample_filtration,
@@ -117,15 +117,30 @@ class TestReplicateJobs:
         jobs = experiments._replicate_jobs([10**6, 10**6], 2, 2)
         assert jobs == [(0, 0, 1), (0, 1, 2), (1, 0, 1), (1, 1, 2)]
 
-    def test_batches_split_a_job_mid_cell(self):
-        # batch=2: the job's 7 replicates are labelled in passes of 2+2+2+1
-        params = ModelParams.make(64, 1.0, 2.0, seed=MASTER)
-        tables = _class_tables(params.n, params.c, params.kernel)
-        rngs = [_fast_stream(params, rep) for rep in range(7)]
-        whole = experiments._batch_stats(tables, rngs, omega=8)
-        (rows,) = experiments._run_replicates(experiments._sweep_run, [(params, 2, 8)], 7, 1)
-        for got, want in zip(np.array(rows).T, whole):
-            np.testing.assert_array_equal(got, want)
+    def test_batches_split_a_job_mid_cell(self, monkeypatch):
+        # 128 vertices per pass at n=64: the job's 7 replicates are drawn and
+        # labelled in batches of 2+2+2+1
+        n, omega = 64, 8
+        params = ModelParams.make(n, 1.0, 2.0, seed=MASTER)
+        batches = []
+
+        def recorded(*args):
+            for batch in _fast_batches(*args):
+                batches.append(batch)
+                yield batch
+
+        monkeypatch.setattr(experiments, "_BATCH_VERTICES", 2 * n)
+        monkeypatch.setattr(experiments, "_fast_batches", recorded)
+        (rows,) = experiments._run_replicates(experiments._sweep_run, [(params, omega)], 7, 1)
+        assert [r for r, _, _ in batches] == [2, 2, 2, 1]
+        graphs = [sample_fast(params, rep) for rep in range(7)]
+        # each ring of a batch is its replicate's sample_fast graph...
+        rings = [(u // n == i, u - i * n, v - i * n) for r, u, v in batches for i in range(r)]
+        for graph, (mine, u, v) in zip(graphs, rings, strict=True):
+            np.testing.assert_array_equal(canonical_edges(n, u[mine], v[mine]), graph.edges)
+        # ...and gets that graph's own statistics
+        want = [[s.largest, s.second_largest, s.b_count(omega)] for s in map(components, graphs)]
+        assert rows == want
 
 
 class TestGiantUniqueness:

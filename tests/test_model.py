@@ -285,8 +285,3 @@ class TestModelParams:
         # degenerate empty-graph law used by samplers and block experiments
         params = ModelParams.make(10, 1.0, 0.0)
         assert marginal_degree_sum(params) == 0.0
-
-    def test_alpha_property(self):
-        assert ModelParams.make(10, 1.5, 1.0).alpha == 1.5
-        assert ModelParams.make(10, math.inf, 1.0).alpha == math.inf
-        assert ModelParams(n=10, c=1.0, kernel=PowerLogKernel(1.0, 1.0)).alpha is None

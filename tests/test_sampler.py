@@ -302,6 +302,16 @@ class TestFiltration:
         with pytest.raises(ValueError):
             Filtration(4, 1.0, PowerLawKernel(1.0), np.array([[0, 1]]), np.array([0.5, 0.6]))
 
+    def test_does_not_alias_the_callers_arrays(self):
+        edges = np.array([[0, 1], [1, 2]], dtype=np.int64)
+        act = np.array([0.5, 0.75])
+        f = Filtration(4, 1.0, PowerLawKernel(1.0), edges, act)
+        # the caller's arrays stay writable, and writing them leaves f as it was
+        edges[0, 1] = 3
+        act[0] = 0.25
+        assert f.edges.tolist() == [[0, 1], [1, 2]] and f.activation.tolist() == [0.5, 0.75]
+        assert not (f.edges.flags.writeable or f.activation.flags.writeable)
+
     @pytest.mark.parametrize("c_max", [0.0, -3.0, math.nan, math.inf])
     def test_rejects_c_max_without_rows(self, c_max):
         with pytest.raises(ValueError, match="c_max > 0"):
