@@ -303,6 +303,8 @@ def conjecture_probe(
     whose normalizer stays bounded are expected to fall away from it as n
     grows.
     """
+    if not (cs and ns):
+        raise ValueError("cs and ns must be non-empty")
     results = _run_cells(
         [kernel], cs, ns, replicates, omega_rule, master_seed, workers, predict="always"
     )

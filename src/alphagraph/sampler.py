@@ -22,7 +22,6 @@ import csv
 import math
 import os
 import sys
-import tempfile
 import warnings
 from functools import lru_cache
 from itertools import chain
@@ -583,10 +582,12 @@ def _format_header(n: int, alpha, c: float, seed: int) -> str:
 def atomic_write(path: str | Path, write_body, mode: str = "w") -> None:
     """Call write_body(fh) on a temp file in the destination directory, then rename.
 
-    The temp file is opened with ``mode``, "w" (text) or "wb" (bytes).
+    The temp file is opened with ``mode``, "w" (text) or "wb" (bytes), and
+    gets the mode ``open(path, "w")`` would give it: 0o666 less the umask.
     """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, mode) as fh:
             write_body(fh)

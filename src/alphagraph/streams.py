@@ -11,11 +11,13 @@ whether it runs first, last, or on another process.
 SeedSequence mixes its entropy words in order: the master seed, zero-padded
 to the 4-word pool, then two words per key part.  The last part, the
 replicate index in every caller, comes last, so the mixer state after every
-earlier word is shared by all replicates of a model.  ``stream_key`` keeps
-that state in a bounded ``lru_cache`` and per call absorbs only the last
-part's two words, then runs ``generate_state``'s output hash.  Its keys equal
-``SeedSequence(seed, spawn_key=key_words(*parts)).generate_state(2,
-np.uint64)``, which the tests use as the oracle.
+earlier word is shared by all replicates of a model.  numpy's own
+SeedSequence computes that state once per model, kept in a bounded
+``lru_cache``; numpy cannot resume a pool, so per call ``stream_key``
+absorbs only the last part's two words and runs ``generate_state``'s output
+hash itself.  Its keys equal ``SeedSequence(seed,
+spawn_key=key_words(*parts)).generate_state(2, np.uint64)``, which the
+tests use as the oracle.
 
 The last part may also be a 1-d integer array, such as a run of replicate
 indices: the same mixing code then runs on uint64 arrays (each word is
@@ -112,37 +114,17 @@ def _mix(x: int, y: int) -> int:
 
 
 @lru_cache(maxsize=256)
-def _mixed_prefix(master_seed: int, prefix: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _mixed_prefix(master_seed: int, prefix: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """Mixer pool after SeedSequence has absorbed the seed and the prefix words.
 
-    Returns (pool, const): the 4 pool words and the next hash constant.
+    Returns (pool, const): the 4 pool words and the next hash constant.  The
+    pool is numpy's.  Absorbing w words, the seed padded to the pool size
+    and then the prefix, takes 4·w hashmix calls, each of which multiplies
+    the constant by _MULT_A.
     """
-    if master_seed < 0:
-        raise ValueError(f"master seed must be non-negative, got {master_seed}")
-    words = []
-    while True:  # little-endian uint32 words; 0 is one word
-        words.append(master_seed & _MASK32)
-        master_seed >>= 32
-        if not master_seed:
-            break
-    words += [0] * (_POOL_SIZE - len(words))  # the spawn-key padding of gh-16539
-    words += prefix
-
-    const = _INIT_A
-    pool = []
-    for word in words[:_POOL_SIZE]:
-        hashed, const = _hashmix(word, const)
-        pool.append(hashed)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                hashed, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], hashed)
-    for word in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            hashed, const = _hashmix(word, const)
-            pool[dst] = _mix(pool[dst], hashed)
-    return tuple(pool), const
+    pool = tuple(np.random.SeedSequence(master_seed, spawn_key=prefix).pool.tolist())
+    n_words = max(_POOL_SIZE, -(-master_seed.bit_length() // 32)) + len(prefix)
+    return pool, _INIT_A * pow(_MULT_A, _POOL_SIZE * n_words, 2**32) & _MASK32
 
 
 def stream_key(master_seed: int, *parts: object) -> tuple:

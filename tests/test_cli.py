@@ -87,6 +87,11 @@ class TestImports:
         # compile and import them
         assert "alphagraph.experiments" not in modules_loaded_by_cli_import()
 
+    def test_cli_import_does_not_load_numpy_random(self):
+        # importing numpy.random costs a process ~13 ms; the streams module
+        # imports it on the first key, so commands that draw none skip it
+        assert [m for m in modules_loaded_by_cli_import() if m.startswith("numpy.random")] == []
+
     def test_sample_components_and_gw_rho_do_not_load_the_experiment_drivers(self, tmp_path):
         edges, csv_out = str(tmp_path / "g.edges"), str(tmp_path / "c.csv")
         code = f"""
@@ -430,6 +435,19 @@ class TestSidecars:
             assert [sidecar["spec"][k] for k in keys] == [config[f] for f in flags]
         else:
             assert list(sidecar) == ["config"]
+
+    def test_outputs_get_the_mode_open_would_give_them(self, tmp_path):
+        # an edge list, a CSV and their sidecars: 0o666 less a umask of 022
+        edges, csv_out = tmp_path / "g.edges", tmp_path / "c.csv"
+        old = os.umask(0o022)
+        try:
+            assert run(["sample", "--n", "200", "--alpha", "1", "--c", "2", "--out", str(edges)]) == 0
+            assert run(["components", "--in", str(edges), "--out", str(csv_out)]) == 0
+        finally:
+            os.umask(old)
+        outputs = [edges, Path(f"{edges}.json"), csv_out, Path(f"{csv_out}.json")]
+        assert sorted(tmp_path.iterdir()) == sorted(outputs)
+        assert [oct(path.stat().st_mode & 0o777) for path in outputs] == ["0o644"] * 4
 
 
 class TestErrorPaths:

@@ -164,6 +164,11 @@ class TestConjectureProbe:
         ).cells[0]
         assert probe_cell == sweep_cell
 
+    @pytest.mark.parametrize("ns, cs", [((), (2.0,)), ((64,), ())])
+    def test_empty_axis_raises_as_sweep_spec_does(self, ns, cs):
+        with pytest.raises(ValueError, match="must be non-empty"):
+            conjecture_probe(PowerLawKernel(1.0), ns=ns, cs=cs, replicates=3)
+
     def test_divergent_h_kernel_trend_increasing(self):
         # f(x) = 1/(x ln x): normalizer diverges, so supercritical behavior
         # should strengthen with n toward the Poisson survival value
