@@ -52,7 +52,6 @@ from .model import (
     Kernel,
     ModelParams,
     NearestNeighborKernel,
-    Normalizer,
     PowerLawKernel,
     PowerLogKernel,
     TabulatedKernel,

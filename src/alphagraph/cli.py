@@ -5,7 +5,8 @@ probe.  build_parser decides whether an argv is well formed, before any
 sampling; a malformed argv exits 2.  sampler writes every output file
 atomically (temp file + rename), and _sidecar gives each one a ``<out>.json``
 echoing the exact run configuration.  Only the commands that run a driver
-import experiments.  ALPHAGRAPH_WORKERS overrides --workers.
+import experiments.  --workers alone sets a driver's worker count (the CPU
+count if omitted).
 """
 
 from __future__ import annotations

@@ -8,9 +8,10 @@ Every driver runs its replicates through one runner, _run_replicates.  It
 cuts each cell's replicates into runs of consecutive replicates
 (_replicate_jobs), maps the driver's run function over a process pool (or
 serially, with one worker or one run) and returns each cell's results in
-replicate order.  One failure policy holds for all of them: the first run
-of a cell that raises, in replicate order, becomes the cell's error,
-written "replicates [start, stop): Type: message".  The grid drivers
+replicate order.  Drivers pass their workers argument straight to it, and
+it alone resolves workers=None.  One failure policy holds for all of them:
+the first run of a cell that raises, in replicate order, becomes the cell's
+error, written "replicates [start, stop): Type: message".  The grid drivers
 (run_sweep, conjecture_probe) record it in the failing cell and go on; the
 single-parameter drivers (block_connectivity, sprinkling_experiment,
 triangle_replicates) raise it as a RuntimeError.  Files are written by
@@ -50,22 +51,6 @@ __all__ = [
 ]
 
 
-def resolve_workers(workers: int | None) -> int:
-    """Worker count: ALPHAGRAPH_WORKERS if set, else workers, else the CPU count."""
-    env = os.environ.get("ALPHAGRAPH_WORKERS")
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            value = 0
-        if value < 1:
-            raise ValueError(f"ALPHAGRAPH_WORKERS needs an integer >= 1, got {env!r}")
-        return value
-    if workers is None:
-        return os.cpu_count() or 1
-    return max(1, workers)
-
-
 # ---------------------------------------------------------------------------
 # The replicate runner
 # ---------------------------------------------------------------------------
@@ -100,16 +85,18 @@ def _run_job(job) -> list | RuntimeError:
         return RuntimeError(f"replicates [{start}, {stop}): {type(exc).__name__}: {exc}")
 
 
-def _run_replicates(run, cells: list[tuple], replicates: int, workers: int) -> list:
+def _run_replicates(run, cells: list[tuple], replicates: int, workers: int | None) -> list:
     """Each cell's run(*cell, start, stop) results, in replicate order.
 
     A cell is a tuple whose first item is its ModelParams; run returns a
     list with one result per replicate in [start, stop).  A cell with a
     failing run gets that run's RuntimeError instead of a list (the first
-    one in replicate order), whatever the worker count.
+    one in replicate order), whatever the worker count.  workers=None runs
+    one worker per CPU; a count below 1 runs one.
     """
     if replicates < 1:
         raise ValueError("need replicates >= 1")
+    workers = max(1, (os.cpu_count() or 1) if workers is None else workers)
     spans = _replicate_jobs([cell[0].n for cell in cells], replicates, workers)
     jobs = [(run, cells[cell], start, stop) for cell, start, stop in spans]
     if workers <= 1 or len(jobs) <= 1:
@@ -129,7 +116,7 @@ def _run_replicates(run, cells: list[tuple], replicates: int, workers: int) -> l
     return results
 
 
-def _run_one(run, cell: tuple, replicates: int, workers: int) -> list:
+def _run_one(run, cell: tuple, replicates: int, workers: int | None) -> list:
     """_run_replicates for a single cell, whose error is raised."""
     (out,) = _run_replicates(run, [cell], replicates, workers)
     if isinstance(out, RuntimeError):
@@ -242,7 +229,7 @@ def _run_cells(
         for c in cs
         for n in ns
     ]
-    outputs = _run_replicates(_sweep_run, runs, replicates, resolve_workers(workers))
+    outputs = _run_replicates(_sweep_run, runs, replicates, workers)
     results: list[CellResult] = []
     for (params, omega), out in zip(runs, outputs):
         alpha = kernel_alpha(params.kernel)
@@ -504,7 +491,7 @@ def block_connectivity(
     if pairs_cap < 1:
         raise ValueError(f"need pairs_cap >= 1, got {pairs_cap}")
     cell = (params, tuple(ms), pairs_cap, nonadjacent_distance)
-    counts = np.sum(_run_one(_block_run, cell, replicates, resolve_workers(workers)), axis=0)
+    counts = np.sum(_run_one(_block_run, cell, replicates, workers), axis=0)
     return [
         BlockStats(
             m=m,
@@ -631,7 +618,7 @@ def sprinkling_experiment(
     if omega < 1:
         raise ValueError(f"need omega >= 1, got {omega}")
     params = ModelParams(n=n, c=c_prime + delta, kernel=kernel, seed=master_seed)
-    records = _run_one(_sprinkle_run, (params, c_prime, omega), replicates, resolve_workers(workers))
+    records = _run_one(_sprinkle_run, (params, c_prime, omega), replicates, workers)
     return SprinklingResult(
         n=n,
         kernel=kernel.spec_string(),

@@ -31,7 +31,6 @@ __all__ = [
     "kernel_alpha",
     "load_tabulated_kernel",
     "ModelParams",
-    "Normalizer",
     "ring_distance",
     "distance_classes",
     "normalizer",
@@ -254,31 +253,18 @@ def distance_classes(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return d, mu, m_pairs
 
 
-@dataclass(frozen=True)
-class Normalizer:
-    """Value of h = sum over vertices u != 0 of f(d(u, 0))."""
-
-    value: float
-    n: int
-    kernel: Kernel
-
-
 @lru_cache(maxsize=256)
-def _normalizer_value(n: int, kernel: Kernel) -> float:
+def normalizer(n: int, kernel: Kernel) -> float:
+    """Degree normalizer h = sum over vertices u != 0 of f(d(u, 0)); h > 0."""
     _, mu, _ = distance_classes(n)
     contrib = mu.astype(np.float64) * kernel.values(n)
     # Compensated summation: the h-based probabilities feed 1e-12-relative
     # normalization identities, so plain left-to-right accumulation is not
     # good enough at n ~ 1e6.
-    return math.fsum(memoryview(contrib))
-
-
-def normalizer(n: int, kernel: Kernel) -> Normalizer:
-    """Degree normalizer h for the given ring size and kernel."""
-    value = _normalizer_value(n, kernel)
+    value = math.fsum(memoryview(contrib))
     if not value > 0:
         raise ValueError(f"normalizer must be positive, got {value}")
-    return Normalizer(value=value, n=n, kernel=kernel)
+    return value
 
 
 @dataclass(frozen=True)
@@ -305,7 +291,7 @@ class ModelParams:
 
     @property
     def h(self) -> float:
-        return normalizer(self.n, self.kernel).value
+        return normalizer(self.n, self.kernel)
 
 
 def class_edge_probs(params: ModelParams) -> np.ndarray:

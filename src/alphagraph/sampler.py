@@ -122,6 +122,24 @@ def _check_vertex_count(n: int) -> None:
         raise ValueError(f"n={n} exceeds {MAX_PAIR_KEY_N}: int64 pair keys would overflow")
 
 
+# Criterion 12's bound on sample_fast's peak, in bytes per vertex and edge,
+# and the memory a draw must fit in (a cgroup limit below it is not seen).
+_BYTES_PER_ITEM = 120
+_PHYSICAL_MEMORY = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _check_fits(n: int, c: float, kernel: Kernel, rings: int) -> None:
+    """Refuse, before any draw, ``rings`` rings of the (n, c, kernel) law that
+    cannot fit: such a draw would grow until the OS killed the process."""
+    edges = _expected_edges(n, c, kernel)
+    need = _BYTES_PER_ITEM * rings * (n + edges)
+    if need > _PHYSICAL_MEMORY:
+        raise ValueError(
+            f"{rings} ring(s) of n={n} expect {rings * edges:.4g} edges and need ~{need:.4g} "
+            f"bytes, more than the {_PHYSICAL_MEMORY} bytes of physical memory"
+        )
+
+
 def _canonical_fault(n: int, edges: np.ndarray) -> str | None:
     """Why (m, 2) rows are not a canonical edge set on n vertices, or None.
 
@@ -427,6 +445,13 @@ def _class_tables(n: int, c: float, kernel: Kernel) -> tuple[int, np.ndarray, np
     return n, m_pairs, probs
 
 
+@lru_cache(maxsize=16)
+def _expected_edges(n: int, c: float, kernel: Kernel) -> float:
+    """Expected edge count of the (n, c, kernel) law, the sum of m_pairs * probs."""
+    _, m_pairs, probs = _class_tables(n, c, kernel)
+    return float(m_pairs @ probs)
+
+
 def _decode_indices(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(j, u, v) per global pair index: edge (u, v) is the pair (u, (u + d) mod n)
     of the class j = d - 1, which enumerates its pairs as u = 0..m_d-1 and so
@@ -482,6 +507,7 @@ def _fast_batches(params: ModelParams, start: int, stop: int, batch: int):
     because the list never leaves this generator.
     """
     n = params.n
+    _check_fits(n, params.c, params.kernel, min(batch, stop - start))
     tables = _class_tables(n, params.c, params.kernel)
     k0, k1 = _fast_key(params, np.arange(start, stop))
     keys = list(zip(k0.tolist(), k1.tolist()))
@@ -498,6 +524,7 @@ def _fast_batches(params: ModelParams, start: int, stop: int, batch: int):
 def sample_fast(params: ModelParams, replicate: int = 0) -> Graph:
     """Distance-class sampler; same law as sample_naive, O(n + |E|) work."""
     n = params.n
+    _check_fits(n, params.c, params.kernel, 1)
     tables = _class_tables(n, params.c, params.kernel)
     idx = _sample_indices([_fast_stream(params, replicate)], tables)
     _, u, v = _decode_indices(n, idx)
@@ -517,6 +544,7 @@ def _draw_filtration(
     if not c_max > 0:
         raise ValueError(f"need c_max > 0, got {c_max}")
     params = ModelParams(n=n, c=c_max, kernel=kernel, seed=seed)
+    _check_fits(n, c_max, kernel, 1)
     rng = stream(seed, "filtration", kernel.spec_string(), n, float(c_max), replicate)
     tables = _class_tables(n, params.c, kernel)
     idx = _sample_indices([rng], tables)
@@ -525,7 +553,7 @@ def _draw_filtration(
     idx.sort(kind="stable")
     j, u, v = _decode_indices(n, idx)
 
-    h = normalizer(n, kernel).value
+    h = normalizer(n, kernel)
     cap = np.minimum(c_max, h / kernel.values(n)[j])
     # 1 - U is uniform on (0, 1], keeping activations strictly positive.
     activation = (1.0 - rng.random(j.shape[0])) * cap
@@ -706,7 +734,7 @@ def write_edge_list(path: str | Path, graph: Graph, params: ModelParams) -> None
 def _parse_header(line: str) -> dict:
     """n, alpha (as written), c and seed of a v1 header line.
 
-    Each key appears once, and c is finite and >= 0.
+    Each key appears once, c is finite and >= 0, and seed lies in [0, 2^64).
     """
     if not line.startswith(_HEADER_MAGIC):
         raise ValueError(f"not an alphagraph v1 file (header {line!r})")
@@ -724,12 +752,10 @@ def _parse_header(line: str) -> dict:
     c = float(fields["c"])
     if not (math.isfinite(c) and c >= 0):
         raise ValueError(f"header needs finite c >= 0, got c={fields['c']} (header {line!r})")
-    return {
-        "n": int(fields["n"]),
-        "alpha": fields["alpha"],
-        "c": c,
-        "seed": int(fields["seed"]),
-    }
+    seed = int(fields["seed"])
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"header seed={fields['seed']} lies outside [0, 2^64) (header {line!r})")
+    return {"n": int(fields["n"]), "alpha": fields["alpha"], "c": c, "seed": seed}
 
 
 def read_edge_list(path: str | Path) -> tuple[Graph, dict]:

@@ -227,7 +227,7 @@ def test_criterion_09_normalization_identity():
     for alpha in (0.0, 0.5, 1.0, 1.5, 2.0, 3.0):
         kernel = PowerLawKernel(alpha)
         for n in (10, 101, 1000):
-            h = normalizer(n, kernel).value
+            h = normalizer(n, kernel)
             for c in (0.5, 0.99 * h):
                 params = ModelParams(n=n, c=c, kernel=kernel)
                 assert edge_prob(0, 1, params) < 1.0  # no clamping in this grid

@@ -252,6 +252,9 @@ class TestComponentsCommand:
             ("# alphagraph v1 n=0 alpha=1.0 c=2.0 seed=1", "need n >= 1, got 0"),
             ("# alphagraph v1 n=5 n=7 alpha=1.0 c=2.0 seed=1", "header repeats n "),
             ("# alphagraph v1 n=5 alpha=1.0 c=nan seed=1", "finite c >= 0, got c=nan"),
+            ("# alphagraph v1 n=5 alpha=1.0 c=2.0 seed=-1", "seed=-1 lies outside [0, 2^64) "),
+            ("# alphagraph v1 n=5 alpha=1.0 c=2.0 seed=18446744073709551616",
+             "seed=18446744073709551616 lies outside [0, 2^64) "),
         ],
     )
     def test_bad_header_exits_1(self, tmp_path, capsys, header, message):
@@ -318,16 +321,6 @@ class TestSweepCommand:
         sidecar = json.loads((tmp_path / "sweep.csv.json").read_text())
         assert sidecar["spec"]["master_seed"] == 42
         assert sidecar["config"]["command"] == "sweep"
-
-    def test_workers_env_override_keeps_results_identical(self, tmp_path, monkeypatch):
-        out1 = tmp_path / "a.csv"
-        out2 = tmp_path / "b.csv"
-        run(["sweep", "--alphas", "1", "--cs", "2", "--ns", "300", "--reps", "3",
-             "--seed", "1", "--workers", "1", "--out", str(out1)])
-        monkeypatch.setenv("ALPHAGRAPH_WORKERS", "2")
-        run(["sweep", "--alphas", "1", "--cs", "2", "--ns", "300", "--reps", "3",
-             "--seed", "1", "--workers", "1", "--out", str(out2)])
-        assert out1.read_text() == out2.read_text()
 
 
 class TestOtherCommands:
@@ -633,6 +626,38 @@ class TestErrorPaths:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["sample", "--n", "1000", "--alpha", "1", "--c", "2"],
+            ["sprinkle", "--n", "1000", "--alpha", "1", "--cprime", "1.5", "--delta", "0.5",
+             "--reps", "2", "--workers", "1"],
+        ],
+    )
+    def test_run_that_cannot_fit_exits_1(self, tmp_path, capsys, monkeypatch, argv):
+        # 1000 vertices and ~1000 edges need ~240 kB at 120 bytes each
+        monkeypatch.setattr("alphagraph.sampler._PHYSICAL_MEMORY", 100_000)
+        out = tmp_path / "x"
+        assert run([*argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+        assert "expect 1000 edges" in captured.err
+        assert "100000 bytes of physical memory" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_records_a_run_that_cannot_fit(self, tmp_path, monkeypatch):
+        # two n=16 rings need ~7.7 kB, two n=1000 rings ~480 kB
+        monkeypatch.setattr("alphagraph.sampler._PHYSICAL_MEMORY", 100_000)
+        out = tmp_path / "w.csv"
+        assert run(["sweep", "--alphas", "1", "--cs", "2", "--ns", "16,1000", "--reps", "2",
+                    "--workers", "1", "--out", str(out)]) == 0
+        with open(out) as fh:
+            small, big = csv.DictReader(fh)
+        assert small["error"] == "" and float(small["mean_fraction"]) > 0
+        assert big["error"].startswith("replicates [0, 2): ValueError: 2 ring(s) of n=1000 ")
+        assert big["mean_fraction"] == "nan"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["triangles", "--n", "100", "--alpha", "1", "--c", "1", "--reps", "0"],
             ["triangles", "--n", "100", "--alpha", "1", "--c", "1", "--reps=-3"],
             ["sweep", "--alphas", "1", "--cs", "2", "--ns", "100", "--reps", "0"],
@@ -673,17 +698,6 @@ class TestErrorPaths:
         assert "--workers" in capsys.readouterr().err
         assert not out.exists()
         assert not (tmp_path / "x.json").exists()
-
-    @pytest.mark.parametrize("env", ["0", "-2", "abc"])
-    def test_bad_workers_env_is_named(self, tmp_path, capsys, monkeypatch, env):
-        monkeypatch.setenv("ALPHAGRAPH_WORKERS", env)
-        out = tmp_path / "x"
-        code = main(["sweep", "--alphas", "1", "--cs", "2", "--ns", "100", "--reps", "1",
-                     "--out", str(out)])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "ALPHAGRAPH_WORKERS" in err and ">= 1" in err
-        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv",

@@ -220,7 +220,7 @@ class TestTrivialClamping:
         from alphagraph.model import PowerLawKernel, normalizer
 
         n = 512
-        h = normalizer(n, PowerLawKernel(2.0)).value
+        h = normalizer(n, PowerLawKernel(2.0))
         g = sample_fast(ModelParams(n=n, c=h, kernel=PowerLawKernel(2.0), seed=1))
         assert components(g).n_components == 1
 

@@ -93,6 +93,14 @@ class TestRunSweep:
         assert cell_at(result, 4).error is None
         assert cell_at(result, 1000).error.startswith(f"replicates {failing}: ValueError: ")
 
+    def test_no_environment_variable_overrides_workers(self, monkeypatch):
+        # no environment variable overrides the caller's worker count
+        monkeypatch.setenv("ALPHAGRAPH_WORKERS", "2")
+        short = TabulatedKernel((1.0, 0.5))
+        result = conjecture_probe(short, ns=(4, 1000), cs=(1.0,), replicates=2, master_seed=1,
+                                  workers=1)
+        assert cell_at(result, 1000).error.startswith("replicates [0, 2): ValueError: ")
+
     def test_omega_column_and_b_fraction(self):
         spec = SweepSpec(alphas=(0.0,), cs=(2.0,), ns=(256,), replicates=2, omega_rule="8")
         result = run_sweep(spec, workers=1)
@@ -382,7 +390,6 @@ class TestSprinkling:
         def wide(n, kernel, c_max, seed, replicate):
             return draw(n, kernel, 1.25 * c_max, seed, replicate)
 
-        monkeypatch.delenv("ALPHAGRAPH_WORKERS", raising=False)
         monkeypatch.setattr(experiments, "_draw_filtration", wide)
         res = sprinkling_experiment(n, kernel, c_prime, delta, 2, reps, master_seed=3, workers=1)
         above = [
@@ -395,7 +402,7 @@ class TestSprinkling:
     @pytest.mark.parametrize("delta", [0.0, 0.5])
     @pytest.mark.parametrize("spec", ["power:alpha=1", "nn", "powerlog:alpha=1.0,beta=1.0"])
     @pytest.mark.parametrize("n", [2, 3, 16, 3000])
-    def test_records_match_the_canonical_route(self, monkeypatch, n, spec, delta):
+    def test_records_match_the_canonical_route(self, n, spec, delta):
         # Each record recomputed from the public filtration, its subgraphs at
         # c' and c'+delta, and a fresh labelling of each.
         kernel, c_prime, omega, reps, seed = parse_kernel(spec), 1.5, 1 + n // 10, 6, 11
@@ -415,7 +422,6 @@ class TestSprinkling:
                     nested_ok=bool(filt.activation.max(initial=0.0) <= c_prime + delta),
                 )
             )
-        monkeypatch.delenv("ALPHAGRAPH_WORKERS", raising=False)
         for workers in (1, 2):
             res = sprinkling_experiment(n, kernel, c_prime, delta, omega, reps, seed, workers)
             assert res.records == expected

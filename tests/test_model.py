@@ -74,14 +74,14 @@ class TestDistanceClasses:
 class TestNormalizer:
     def test_hand_sum_alpha1_n5(self):
         # distances from 0: 1, 2, 2, 1 -> 1 + 0.5 + 0.5 + 1
-        assert normalizer(5, PowerLawKernel(1.0)).value == pytest.approx(3.0, rel=1e-15)
+        assert normalizer(5, PowerLawKernel(1.0)) == pytest.approx(3.0, rel=1e-15)
 
     def test_alpha0_counts_vertices(self):
-        assert normalizer(4, PowerLawKernel(0.0)).value == pytest.approx(3.0, rel=1e-15)
+        assert normalizer(4, PowerLawKernel(0.0)) == pytest.approx(3.0, rel=1e-15)
 
     def test_hand_sum_alpha2_n6(self):
         expected = 2 * (1 + 0.25) + 1 / 9
-        assert normalizer(6, PowerLawKernel(2.0)).value == pytest.approx(expected, rel=1e-14)
+        assert normalizer(6, PowerLawKernel(2.0)) == pytest.approx(expected, rel=1e-14)
 
     def test_matches_bruteforce_sum(self):
         rng = np.random.default_rng(1)
@@ -90,20 +90,20 @@ class TestNormalizer:
             alpha = float(rng.uniform(0, 3))
             k = PowerLawKernel(alpha)
             brute = math.fsum(k.f(ring_distance(0, u, n)) for u in range(1, n))
-            assert normalizer(n, k).value == pytest.approx(brute, rel=1e-12)
+            assert normalizer(n, k) == pytest.approx(brute, rel=1e-12)
 
     def test_h_bounds_alpha1(self):
         # log n <= h <= 2 log n for n = 8, 16, ..., 2**20
         for exp in range(3, 21):
             n = 2**exp
-            h = normalizer(n, PowerLawKernel(1.0)).value
+            h = normalizer(n, PowerLawKernel(1.0))
             assert math.log(n) <= h <= 2 * math.log(n), (n, h)
 
     def test_nearest_neighbor_value(self):
-        assert normalizer(100, NearestNeighborKernel()).value == 2.0
-        assert normalizer(3, NearestNeighborKernel()).value == 2.0
+        assert normalizer(100, NearestNeighborKernel()) == 2.0
+        assert normalizer(3, NearestNeighborKernel()) == 2.0
         # n=2: a single other vertex at distance 1
-        assert normalizer(2, NearestNeighborKernel()).value == 1.0
+        assert normalizer(2, NearestNeighborKernel()) == 1.0
 
 
 class TestKernels:
@@ -234,7 +234,7 @@ class TestEdgeProb:
     def test_alpha2_trivial_clamp_threshold(self):
         # At alpha=2 the d=1 probability hits 1 exactly when c reaches h.
         n = 100
-        h = normalizer(n, PowerLawKernel(2.0)).value
+        h = normalizer(n, PowerLawKernel(2.0))
         below = ModelParams(n=n, c=h * 0.999, kernel=PowerLawKernel(2.0))
         at = ModelParams(n=n, c=h, kernel=PowerLawKernel(2.0))
         assert edge_prob(0, 1, below) < 1.0
@@ -258,7 +258,7 @@ class TestMarginalDegreeSum:
     def test_normalization_identity_grid(self, alpha, n):
         # c small enough that no probability clamps
         k = PowerLawKernel(alpha)
-        h = normalizer(n, k).value
+        h = normalizer(n, k)
         for c in (0.5, 0.99 * h):
             params = ModelParams(n=n, c=c, kernel=k)
             assert edge_prob(0, 1, params) < 1.0

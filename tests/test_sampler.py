@@ -295,6 +295,43 @@ class TestPairKeyRange:
                 sample_filtration(n, params.kernel, 2.0, seed=1)
 
 
+class TestMemoryRefusal:
+    # One n=1000, alpha=1, c=2 ring expects 1000 edges: ~240 kB at 120 bytes
+    # per vertex and edge.  No test here allocates that much for real.
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda: sample_fast(ModelParams.make(1000, 1.0, 2.0)),
+            lambda: sample_filtration(1000, PowerLawKernel(1.0), 2.0, seed=3),
+            lambda: list(sampler._fast_batches(ModelParams.make(1000, 1.0, 2.0), 0, 5, 4)),
+        ],
+        ids=["sample_fast", "sample_filtration", "fast_batches"],
+    )
+    def test_refused_before_any_draw(self, monkeypatch, draw):
+        def no_draw(rngs, tables):
+            raise AssertionError("a refused run drew")
+
+        monkeypatch.setattr(sampler, "_PHYSICAL_MEMORY", 200_000)
+        monkeypatch.setattr(sampler, "_sample_indices", no_draw)
+        with pytest.raises(ValueError, match=r"expect \d+ edges and need ~\S+ bytes, more than the "
+                                             r"200000 bytes of physical memory"):
+            draw()
+
+    def test_batch_counts_every_ring(self, monkeypatch):
+        # one n=500 ring needs ~120 kB; a batch of two, twice that
+        monkeypatch.setattr(sampler, "_PHYSICAL_MEMORY", 200_000)
+        params = ModelParams.make(500, 1.0, 2.0)
+        assert len(list(sampler._fast_batches(params, 0, 3, 1))) == 3
+        with pytest.raises(ValueError, match="2 ring"):
+            list(sampler._fast_batches(params, 0, 3, 2))
+
+    def test_a_run_that_fits_keeps_its_bits(self, monkeypatch):
+        params = ModelParams.make(1000, 1.0, 2.0, seed=4)
+        graph = sample_fast(params)
+        monkeypatch.setattr(sampler, "_PHYSICAL_MEMORY", 240_001)
+        assert sample_fast(params) == graph
+
+
 class TestFiltration:
     def test_type_validation(self):
         with pytest.raises(ValueError):
@@ -602,6 +639,8 @@ class TestFileBodies:
             ("n=5 alpha=1.0 c=nan seed=1", "finite c >= 0, got c=nan"),
             ("n=5 alpha=1.0 c=inf seed=1", "finite c >= 0, got c=inf"),
             ("n=5 alpha=1.0 c=-3 seed=1", "finite c >= 0, got c=-3"),
+            ("n=5 alpha=1.0 c=2.0 seed=-1", r"seed=-1 lies outside \[0, 2\^64\)"),
+            ("n=5 alpha=1.0 c=2.0 seed=18446744073709551616", "seed=18446744073709551616 lies"),
         ],
     )
     @pytest.mark.parametrize("reader", [read_edge_list, read_filtration])
