@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import sampler
 from .model import ModelParams, NearestNeighborKernel, class_edge_probs, distance_classes
 
 __all__ = [
@@ -84,10 +85,22 @@ class DegreePGF:
         return math.fsum(memoryview(self.mu * self.p))
 
 
+# Peak bytes per distance class of the finite-n law and its solve
+# (tracemalloc at n = 1e6 and 4e6, alpha = 1, c = 2).
+_BYTES_PER_CLASS = 56
+
+
 def finite_degree_pgf(params: ModelParams) -> DegreePGF:
-    """Exact PGF of one vertex's degree under the given model."""
+    """Exact PGF of one vertex's degree under the given model.  Refused before
+    any allocation if its n // 2 classes cannot fit in physical memory: no
+    one array is too large to allocate, so the process would grow until the
+    OS killed it."""
     if isinstance(params.kernel, NearestNeighborKernel):
         raise ValueError("degree PGF is defined for finite-alpha kernels only")
+    need = _BYTES_PER_CLASS * (params.n // 2)
+    if need > sampler._PHYSICAL_MEMORY:
+        raise ValueError(f"the degree law of n={params.n} needs ~{need:.4g} bytes, more than "
+                         f"the {sampler._PHYSICAL_MEMORY} bytes of physical memory")
     _, mu, _ = distance_classes(params.n)
     return DegreePGF(class_edge_probs(params), mu)
 
@@ -126,11 +139,11 @@ def extinction_bisection(pgf, tol: float = DEFAULT_TOL) -> GWResult:
     if not tol > 0:
         raise ValueError("tolerance must be positive")
     _validate_pgf(pgf)
+    if pgf.value(0.0) == 0.0:  # no childless individual: s = 0 is a fixed point
+        return _result(pgf, 0.0, 0)
     if pgf.mean() <= 1.0:
         return _result(pgf, 1.0, 0)
     g = lambda s: pgf.value(s) - s
-    if pgf.value(0.0) == 0.0:
-        return _result(pgf, 0.0, 0)
     lo, hi = 0.0, 1.0 - 1e-6
     widen = 0
     while g(hi) >= 0.0:
@@ -153,9 +166,10 @@ def extinction_bisection(pgf, tol: float = DEFAULT_TOL) -> GWResult:
 def extinction(pgf, tol: float = DEFAULT_TOL) -> GWResult:
     """Extinction probability: smallest fixed point of the PGF on [0, 1].
 
-    Monotone iteration from 0; mean offspring <= 1 short-circuits to q = 1,
-    and within NEAR_CRITICAL_BAND of mean 1 the bisection path is used
-    because the iteration's contraction rate degenerates.
+    Monotone iteration from 0; mean offspring <= 1 short-circuits to q = 1
+    (q = 0 for the one-offspring law Z = 1, whose f(s) = s), and within
+    NEAR_CRITICAL_BAND of mean 1 the bisection path is used because the
+    iteration's contraction rate degenerates.
 
     Raises RuntimeError if the iteration fails to converge, which signals a
     malformed PGF.
@@ -165,7 +179,7 @@ def extinction(pgf, tol: float = DEFAULT_TOL) -> GWResult:
     _validate_pgf(pgf)
     mean = pgf.mean()
     if mean <= 1.0:
-        return _result(pgf, 1.0, 0)
+        return _result(pgf, 1.0 if pgf.value(0.0) > 0.0 else 0.0, 0)
     if abs(mean - 1.0) < NEAR_CRITICAL_BAND:
         return extinction_bisection(pgf, tol)
     s = 0.0

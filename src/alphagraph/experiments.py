@@ -5,17 +5,19 @@ so a given (spec, master_seed) always produces bit-identical results,
 regardless of worker count or scheduling.
 
 Every driver runs its replicates through one runner, _run_replicates.  It
-cuts each cell's replicates into runs of consecutive replicates
-(_replicate_jobs), maps the driver's run function over a process pool (or
-serially, with one worker or one run) and returns each cell's results in
-replicate order.  Drivers pass their workers argument straight to it, and
-it alone resolves workers=None.  One failure policy holds for all of them:
-the first run of a cell that raises, in replicate order, becomes the cell's
-error, written "replicates [start, stop): Type: message".  The grid drivers
-(run_sweep, conjecture_probe) record it in the failing cell and go on; the
-single-parameter drivers (block_connectivity, sprinkling_experiment,
-triangle_replicates) raise it as a RuntimeError.  Files are written by
-sampler; write_sweep_csv only lays a grid result out as CSV rows.
+cuts each cell's replicates into one run of consecutive replicates per
+worker, or per replicate if there are fewer (_replicate_jobs).  It maps the
+driver's run function over every cell's runs in a pool of min(workers,
+runs) processes, or serially when that is one, and returns each cell's
+results in replicate order.  Drivers pass their workers argument
+straight to it, and it alone resolves workers=None.  One failure policy
+holds for all of them: the first run of a cell that raises, in replicate
+order, becomes the cell's error, written "replicates [start, stop): Type:
+message".  The grid drivers (run_sweep, conjecture_probe) record it in the
+failing cell and go on; the single-parameter drivers (block_connectivity,
+sprinkling_experiment, triangle_replicates) raise it as a RuntimeError.
+Files are written by sampler; write_sweep_csv only lays a grid result out
+as CSV rows.
 """
 
 from __future__ import annotations
@@ -55,25 +57,17 @@ __all__ = [
 # The replicate runner
 # ---------------------------------------------------------------------------
 
-# A multi-worker run is cut into about this many jobs per worker or more, so
-# that a one-cell run still spreads over every worker.
-_JOBS_PER_WORKER = 8
 
-
-def _replicate_jobs(ns: list[int], replicates: int, workers: int) -> list[tuple[int, int, int]]:
-    """(cell, start, stop) per job: consecutive replicates of one cell.
-
-    One job per cell with one worker.  With several, a job holds at most
-    1/(_JOBS_PER_WORKER * workers) of the run's vertices, or one replicate.
-    """
-    if workers <= 1:
-        return [(cell, 0, replicates) for cell in range(len(ns))]
-    budget = -(-replicates * sum(ns) // (_JOBS_PER_WORKER * workers))
-    jobs = []
-    for cell, n in enumerate(ns):
-        step = max(1, budget // n)
-        jobs.extend((cell, s, min(s + step, replicates)) for s in range(0, replicates, step))
-    return jobs
+def _replicate_jobs(cells: int, replicates: int, workers: int) -> list[tuple[int, int, int]]:
+    """(cell, start, stop) per job, cell by cell: each cell's replicates cut
+    into min(workers, replicates) runs of consecutive replicates whose
+    lengths differ by at most one."""
+    runs = min(workers, replicates)
+    return [
+        (cell, replicates * k // runs, replicates * (k + 1) // runs)
+        for cell in range(cells)
+        for k in range(runs)
+    ]
 
 
 def _run_job(job) -> list | RuntimeError:
@@ -88,27 +82,27 @@ def _run_job(job) -> list | RuntimeError:
 def _run_replicates(run, cells: list[tuple], replicates: int, workers: int | None) -> list:
     """Each cell's run(*cell, start, stop) results, in replicate order.
 
-    A cell is a tuple whose first item is its ModelParams; run returns a
-    list with one result per replicate in [start, stop).  A cell with a
-    failing run gets that run's RuntimeError instead of a list (the first
-    one in replicate order), whatever the worker count.  workers=None runs
-    one worker per CPU; a count below 1 runs one.
+    A cell is a tuple of run's leading arguments; run returns a list with
+    one result per replicate in [start, stop).  A cell with a failing run
+    gets that run's RuntimeError instead of a list (the first one in
+    replicate order), whatever the worker count.  workers=None runs one
+    worker per CPU; a count below 1 runs one.
     """
     if replicates < 1:
         raise ValueError("need replicates >= 1")
     workers = max(1, (os.cpu_count() or 1) if workers is None else workers)
-    spans = _replicate_jobs([cell[0].n for cell in cells], replicates, workers)
+    spans = _replicate_jobs(len(cells), replicates, workers)
     jobs = [(run, cells[cell], start, stop) for cell, start, stop in spans]
-    if workers <= 1 or len(jobs) <= 1:
+    processes = min(workers, len(jobs))
+    if processes == 1:
         outputs = map(_run_job, jobs)
     else:
         # Imported here: the pool's modules cost a process ~30 ms to import,
         # and most commands never build one.
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, len(jobs) // (workers * _JOBS_PER_WORKER))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(_run_job, jobs, chunksize=chunk))
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            outputs = list(pool.map(_run_job, jobs))
     results: list = [[] for _ in cells]
     for (cell, _start, _stop), out in zip(spans, outputs):
         if isinstance(results[cell], list):  # else the cell's first error stands

@@ -123,7 +123,8 @@ def _check_vertex_count(n: int) -> None:
 
 
 # Criterion 12's bound on sample_fast's peak, in bytes per vertex and edge,
-# and the memory a draw must fit in (a cgroup limit below it is not seen).
+# and the memory a draw, or branching's finite-n law, must fit in (a cgroup
+# limit below it is not seen).
 _BYTES_PER_ITEM = 120
 _PHYSICAL_MEMORY = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 

@@ -112,6 +112,13 @@ class TestExtinctionSolver:
         assert extinction(pgf).extinction_q == 0.0
         assert extinction_bisection(pgf).extinction_q == 0.0
 
+    @pytest.mark.parametrize("solver", [extinction, extinction_bisection])
+    def test_one_offspring_law_never_dies_out(self, solver):
+        # Z = 1 always: f(s) = s, mean 1, and the smallest fixed point is 0
+        result = solver(DegreePGF(np.array([1.0, 0.0]), np.array([1.0, 2.0])))
+        assert result.extinction_q == 0.0 and result.survival_rho == 1.0
+        assert result.residual == 0.0
+
 
 class TestDegreePGF:
     def test_value_at_one(self):

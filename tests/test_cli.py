@@ -1,15 +1,20 @@
+import argparse
 import csv
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 import alphagraph
+from alphagraph import branching, cli, sampler
 from alphagraph.cli import build_parser, main
 from alphagraph.components import components
 from alphagraph import experiments
@@ -302,6 +307,12 @@ class TestGwRho:
             '{"q": 1.0, "rho": 0.0, "iterations": 0, "residual": 0.0, "config": '
             f'{{"command": "gw-rho", "c": {float(c)}, "n": null, "alpha": null, "tol": 1e-12}}}}\n'
         )
+
+    def test_two_ring_survives_surely(self, capsys):
+        # at n = 2 the one neighbour is always joined: one offspring, q = 0
+        assert run(["gw-rho", "--c", "2", "--n", "2", "--alpha", "0"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["q"] == 0.0 and payload["rho"] == 1.0
 
     def test_finite_n_requires_alpha(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -623,6 +634,22 @@ class TestErrorPaths:
         assert captured.err == "error: out of memory: Unable to allocate 18.6 GiB\n"
         assert captured.out == ""
 
+    def test_gw_rho_law_that_cannot_fit_exits_1(self, capsys, monkeypatch):
+        # 500 distance classes need 28 kB at 56 bytes each; none may be built
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated before the memory check")
+
+        monkeypatch.setattr("alphagraph.sampler._PHYSICAL_MEMORY", 10_000)
+        monkeypatch.setattr("alphagraph.branching.distance_classes", no_allocation)
+        monkeypatch.setattr("alphagraph.branching.class_edge_probs", no_allocation)
+        assert run(["gw-rho", "--c", "2", "--n", "1000", "--alpha", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: the degree law of n=1000 needs ~2.8e+04 bytes, "
+            "more than the 10000 bytes of physical memory\n"
+        )
+        assert captured.out == ""
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -788,3 +815,159 @@ class TestErrorPaths:
         code = main(["sweep", "--alphas", "inf,Infinity", "--cs", "2", "--ns", "50",
                      "--reps", "1", "--out", str(out)])
         assert code == 0
+
+
+# ---------------------------------------------------------------------------
+# The exit-code contract, over argvs built from the parser's own flags
+# ---------------------------------------------------------------------------
+
+
+def _flags_by_command() -> dict[str, list[argparse.Action]]:
+    """Each subcommand's flags, as build_parser() declares them (help aside)."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: [a for a in p._actions if a.option_strings and not isinstance(a, argparse._HelpAction)]
+        for name, p in sub.choices.items()
+    }
+
+
+FLAGS = _flags_by_command()
+# Well-formed values per flag destination; a flag added later draws VALID_DEFAULT.
+# Ring sizes stay small, so that an argv that runs is cheap.
+VALID_TOKENS = {
+    "n": ["16", "100"],
+    "alpha": ["0", "1", "2.5", "inf"],
+    "kernel": ["nn", "power:alpha=1.0", "powerlog:alpha=1.0,beta=1.0", "custom:<dir>/none.txt"],
+    "c": ["0", "0.5", "2"],
+    "alphas": ["1", "0,inf"],
+    "cs": ["2", "0.5,2"],
+    "ns": ["16", "16,64"],
+    "ms": ["2", "2,4"],
+    "block_distance": ["2"],
+    "omega": ["log4", "8"],
+    "omega_rule": ["log4", "loglog", "8"],
+    "cprime": ["0.5", "1.5"],
+    "delta": ["0", "0.5"],
+    "tol": ["1e-9"],
+}
+VALID_DEFAULT = ["1", "2"]
+BOUNDARY_TOKENS = ["0", "1", "2", str(MAX_PAIR_KEY_N), str(MAX_PAIR_KEY_N + 1), str(2**64)]
+MALFORMED_TOKENS = ["", "nan", "-inf", "1e400", "x", "1,,2"]
+
+
+@st.composite
+def argvs(draw) -> list[str]:
+    """A subcommand and some of its flags.  A value is mostly well formed,
+    else a boundary or malformed token; a flag without a type takes a path,
+    "<in>" for --in and "<out>" otherwise."""
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    argv = [command]
+    for action in FLAGS[command]:
+        if draw(st.integers(0, 15)) >= (15 if action.required else 8):
+            continue
+        if action.type is None:
+            value = "<in>" if action.dest == "infile" else "<out>"
+        else:
+            kind = draw(st.integers(0, 9))
+            pool = (VALID_TOKENS.get(action.dest, VALID_DEFAULT) if kind < 8
+                    else BOUNDARY_TOKENS if kind < 9 else MALFORMED_TOKENS)
+            value = draw(st.sampled_from(pool))
+        flag = draw(st.sampled_from(action.option_strings))
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return argv
+
+
+# A header field's well-formed value, then its malformed ones.
+HEADER_VALUES = {
+    "n": ["5", "0", "-1", "2.5", "x", "", str(MAX_PAIR_KEY_N + 1), str(2**64)],
+    "alpha": ["1.0", "", "x"],
+    "c": ["2.0", "-3", "nan", "1e400", "x"],
+    "seed": ["1", "-1", str(2**64), "x"],
+}
+FLAWS = ("field count", "field value", "odd field", "magic", "row", "byte")
+
+
+@st.composite
+def edge_files(draw) -> bytes:
+    """Edge-list bytes with up to two kinds of flaw: header fields missing,
+    repeated, malformed or odd, a bad first token, a ragged or malformed
+    row, or a byte that is not UTF-8."""
+    flaws = draw(st.sets(st.sampled_from(FLAWS), max_size=2))
+
+    def pick(flaw, good, bad):
+        return draw(st.sampled_from(bad)) if flaw in flaws and draw(st.booleans()) else good
+
+    fields = [
+        f"{key}={pick('field value', good, bad)}"
+        for key, (good, *bad) in HEADER_VALUES.items()
+        for _ in range(pick("field count", 1, [0, 2]))
+    ]
+    fields += pick("odd field", [], [["odd=1"], ["n"], ["="], ["n==2"]])
+    header = " ".join([pick("magic", "# alphagraph v1", ["", "# alphagraph v2"]),
+                       *draw(st.permutations(fields))])
+    rows = draw(st.lists(st.sampled_from(["0 1", "1 2", "4 2", "3 4", "0 4"]), max_size=4))
+    rows.insert(0, pick("row", "1 3", ["1 1", "0 5", "-1 2", "3", "1 2 3", "1.5 2", "x 1"]))
+    data = ("\n".join([header, *rows]) + "\n").encode()
+    at = draw(st.integers(0, len(data)))
+    return data[:at] + pick("byte", b"", [b"\xff", b"\xc3("]) + data[at:]
+
+
+@pytest.fixture
+def reached(monkeypatch) -> list:
+    """The names of the sampling and reading entry points a command reached.
+
+    Each still runs.  Drivers run at most two replicates each, in this
+    process, and no draw may exceed 256 MiB, so every argv is cheap.
+    """
+    names: list = []
+
+    def recorded(name, real):
+        def call(*args, **kwargs):
+            names.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    run_replicates = experiments._run_replicates
+
+    def at_most_two_in_process(run, cells, replicates, workers):
+        return run_replicates(run, cells, min(replicates, 2), 1)
+
+    monkeypatch.setattr(experiments, "_run_replicates",
+                        recorded("replicates", at_most_two_in_process))
+    monkeypatch.setattr(cli, "sample_fast", recorded("sample_fast", cli.sample_fast))
+    monkeypatch.setattr(cli, "read_edge_list", recorded("read_edge_list", cli.read_edge_list))
+    monkeypatch.setattr(branching, "extinction", recorded("extinction", branching.extinction))
+    monkeypatch.setattr(sampler, "_PHYSICAL_MEMORY", 1 << 28)
+    return names
+
+
+class TestExitCodeContract:
+    @settings(max_examples=250, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=argvs(), edges=edge_files())
+    def test_exit_codes(self, reached, capsys, argv, edges):
+        with tempfile.TemporaryDirectory() as tmp:
+            infile, out = Path(tmp, "in.edges"), Path(tmp, "out")
+            infile.write_bytes(edges)
+            paths = {"<in>": str(infile), "<out>": str(out), "<dir>": tmp}
+            for key, path in paths.items():
+                argv = [token.replace(key, path) for token in argv]
+            reached.clear()
+            capsys.readouterr()
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+                assert code == 2
+                assert reached == []  # nothing was drawn or read
+            event(f"{argv[0]} exits {code}")  # shown by --hypothesis-show-statistics
+            err = capsys.readouterr().err
+            files = sorted(os.listdir(tmp))
+            if code == 0:
+                wrote = [out.name, f"{out.name}.json"] if str(out) in " ".join(argv) else []
+                assert files == sorted([infile.name, *wrote])
+            else:
+                assert code in (1, 2)
+                assert files == [infile.name]  # no output, sidecar or temp file
+            if code == 1:
+                assert err.startswith("error: ") and len(err.splitlines()) == 1

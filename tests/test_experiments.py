@@ -1,8 +1,11 @@
+import concurrent.futures
 import csv
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 from alphagraph import experiments
@@ -112,18 +115,53 @@ class TestRunSweep:
 
 class TestReplicateJobs:
     def test_one_job_per_cell_with_one_worker(self):
-        assert experiments._replicate_jobs([64, 1024], 500, 1) == [(0, 0, 500), (1, 0, 500)]
+        assert experiments._replicate_jobs(2, 500, 1) == [(0, 0, 500), (1, 0, 500)]
 
     def test_one_cell_spreads_over_every_worker(self):
-        jobs = experiments._replicate_jobs([64], 500, 2)
-        assert len(jobs) >= 2 * experiments._JOBS_PER_WORKER
-        bounds = [b for _, start, stop in jobs for b in (start, stop)]
-        assert bounds[0] == 0 and bounds[-1] == 500
-        assert bounds[1:-1:2] == bounds[2::2]  # consecutive, no gaps or overlaps
+        assert experiments._replicate_jobs(1, 500, 2) == [(0, 0, 250), (0, 250, 500)]
 
-    def test_large_n_is_one_replicate_per_job(self):
-        jobs = experiments._replicate_jobs([10**6, 10**6], 2, 2)
+    def test_no_more_runs_than_replicates(self):
+        jobs = experiments._replicate_jobs(2, 2, 64)
         assert jobs == [(0, 0, 1), (0, 1, 2), (1, 0, 1), (1, 1, 2)]
+
+    @given(st.integers(1, 5), st.integers(1, 300), st.integers(1, 70))
+    def test_runs_cover_each_cell_consecutively(self, cells, replicates, workers):
+        jobs = experiments._replicate_jobs(cells, replicates, workers)
+        assert [cell for cell, _, _ in jobs] == sorted(cell for cell, _, _ in jobs)
+        for cell in range(cells):
+            bounds = [b for c, start, stop in jobs if c == cell for b in (start, stop)]
+            assert len(bounds) == 2 * min(workers, replicates)  # at most one run per worker
+            assert bounds[0] == 0 and bounds[-1] == replicates
+            assert bounds[1:-1:2] == bounds[2::2]  # consecutive, no gaps or overlaps
+            lengths = np.diff(bounds)[::2]
+            assert lengths.min() >= 1 and lengths.max() - lengths.min() <= 1
+
+    def test_pool_is_no_larger_than_its_job_list(self, monkeypatch):
+        # a stand-in pool records its size and starts no process
+        sizes = []
+
+        class StubPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubPool)
+        kernel = PowerLawKernel(1.0)
+        many = sprinkling_experiment(200, kernel, 1.5, 0.5, 8, replicates=2, workers=64)
+        assert sizes == [2]
+        assert many == sprinkling_experiment(200, kernel, 1.5, 0.5, 8, replicates=2, workers=1)
+        assert sizes == [2]  # one worker runs serially, with no pool
+        spec = SweepSpec(alphas=(1.0,), cs=(2.0,), ns=(16, 32, 64), replicates=2)
+        assert run_sweep(spec, workers=64).cells == run_sweep(spec, workers=1).cells
+        assert sizes == [2, 6]
 
     def test_batches_split_a_job_mid_cell(self, monkeypatch):
         # 128 vertices per pass at n=64: the job's 7 replicates are drawn and
