@@ -97,10 +97,9 @@ def finite_degree_pgf(params: ModelParams) -> DegreePGF:
     OS killed it."""
     if isinstance(params.kernel, NearestNeighborKernel):
         raise ValueError("degree PGF is defined for finite-alpha kernels only")
-    need = _BYTES_PER_CLASS * (params.n // 2)
-    if need > sampler._PHYSICAL_MEMORY:
-        raise ValueError(f"the degree law of n={params.n} needs ~{need:.4g} bytes, more than "
-                         f"the {sampler._PHYSICAL_MEMORY} bytes of physical memory")
+    sampler._refuse_over_memory(
+        _BYTES_PER_CLASS * (params.n // 2), lambda: f"the degree law of n={params.n} needs"
+    )
     _, mu, _ = distance_classes(params.n)
     return DegreePGF(class_edge_probs(params), mu)
 

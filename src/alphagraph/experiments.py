@@ -32,8 +32,8 @@ import numpy as np
 from .branching import rho_limit
 from .components import _label_edges, omega_for
 from .model import Kernel, ModelParams, kernel_alpha, kernel_for_alpha
-from .sampler import Graph, _draw_filtration, _fast_batches, sample_fast, write_rows_csv
-from .streams import stream
+from .sampler import Graph, _draw_filtration, _fast_batches, _model_key, keyed_stream
+from .sampler import sample_fast, write_rows_csv
 
 __all__ = [
     "SweepSpec",
@@ -435,8 +435,7 @@ def _block_run(
             if nb <= pairs_cap:
                 sampled = np.arange(nb)
             else:
-                srng = stream(params.seed, "blocks:pairs", params.kernel.spec_string(), n,
-                              float(params.c), rep, m)
+                srng = keyed_stream(_model_key(params, "blocks:pairs", rep, m))
                 sampled = srng.choice(nb, size=pairs_cap, replace=False)
             non_hits = int(np.isin(sampled, non_present).sum())
             per_m.append((adj_present.size, nb, non_hits, sampled.size))
@@ -555,7 +554,7 @@ def _sprinkle_run(
     n = params.n
     records = []
     for rep in range(start, stop):
-        u, v, activation = _draw_filtration(n, params.kernel, params.c, params.seed, rep)
+        u, v, activation = _draw_filtration(params, rep)
         early = activation <= c_prime
         later = ~early
 

@@ -54,6 +54,8 @@ class PowerLawKernel:
     def __post_init__(self):
         if not (self.alpha >= 0 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
+        # abs turns -0.0 into 0.0, and no other alpha: equal kernels, one spec
+        object.__setattr__(self, "alpha", abs(self.alpha))
 
     def f(self, d: int) -> float:
         return float(d) ** -self.alpha
@@ -83,6 +85,9 @@ class PowerLogKernel:
             raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
         if not (self.beta >= 0 and math.isfinite(self.beta)):
             raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
+        # abs turns -0.0 into 0.0, and no other value: equal kernels, one spec
+        object.__setattr__(self, "alpha", abs(self.alpha))
+        object.__setattr__(self, "beta", abs(self.beta))
 
     def f(self, d: int) -> float:
         return float(d) ** -self.alpha * max(math.log(d), 1.0) ** -self.beta

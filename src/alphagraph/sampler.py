@@ -39,7 +39,7 @@ from .model import (
     normalizer,
     parse_kernel,
 )
-from .streams import keyed_stream, rekey, stream, stream_key
+from .streams import keyed_stream, rekey, stream_key
 
 __all__ = [
     "Graph",
@@ -129,15 +129,13 @@ _BYTES_PER_ITEM = 120
 _PHYSICAL_MEMORY = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _check_fits(n: int, c: float, kernel: Kernel, rings: int) -> None:
-    """Refuse, before any draw, ``rings`` rings of the (n, c, kernel) law that
-    cannot fit: such a draw would grow until the OS killed the process."""
-    edges = _expected_edges(n, c, kernel)
-    need = _BYTES_PER_ITEM * rings * (n + edges)
+def _refuse_over_memory(need: float, names_run) -> None:
+    """Refuse a run that needs ``need`` bytes, more than physical memory: it
+    would grow until the OS killed the process.  The message starts with
+    ``names_run()``, called only on refusal."""
     if need > _PHYSICAL_MEMORY:
         raise ValueError(
-            f"{rings} ring(s) of n={n} expect {rings * edges:.4g} edges and need ~{need:.4g} "
-            f"bytes, more than the {_PHYSICAL_MEMORY} bytes of physical memory"
+            f"{names_run()} ~{need:.4g} bytes, more than the {_PHYSICAL_MEMORY} bytes of physical memory"
         )
 
 
@@ -182,6 +180,12 @@ def canonical_edges(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return _keys_to_rows(n, keys)
 
 
+def _check_levels(c_max: float, levels: np.ndarray) -> None:
+    """Raise ValueError unless every activation level lies in (0, c_max]."""
+    if levels.size and not (levels.min() > 0 and levels.max() <= c_max * (1 + 1e-15)):
+        raise ValueError("activation levels must lie in (0, c_max]")
+
+
 class Filtration:
     """Edges realized at level c_max, each with its activation level.
 
@@ -213,8 +217,7 @@ class Filtration:
                 raise ValueError(fault)
             if levels.shape[0] != rows.shape[0]:
                 raise ValueError("one activation level per edge required")
-            if levels.size and not (levels.min() > 0 and levels.max() <= c_max * (1 + 1e-15)):
-                raise ValueError("activation levels must lie in (0, c_max]")
+            _check_levels(c_max, levels)
         self.n = int(n)
         self.c_max = float(c_max)
         self.kernel = kernel
@@ -279,8 +282,8 @@ def sample_naive(params: ModelParams, replicate: int = 0) -> Graph:
     n = params.n
     if n > NAIVE_GUARD_N:
         raise ValueError(f"sample_naive is O(n^2); n={n} exceeds guard {NAIVE_GUARD_N}")
-    rng = stream(params.seed, "sample:naive", params.kernel.spec_string(), n, float(params.c), replicate)
-    _, _, p_class = _class_tables(n, params.c, params.kernel)
+    rng = keyed_stream(_model_key(params, "sample:naive", replicate))
+    _, _, p_class, _ = _class_tables(n, params.c, params.kernel)
     us, vs = [], []
     r0 = 0
     while r0 < n - 1:
@@ -342,17 +345,18 @@ _MERGE_MIN_CHOSEN = 4096
 
 
 def _sample_indices(
-    rngs: list[np.random.Generator], tables: tuple[int, np.ndarray, np.ndarray]
+    rngs: list[np.random.Generator], tables: tuple[int, np.ndarray, np.ndarray, float]
 ) -> np.ndarray:
     """Draw the edge sets of len(rngs) rings, one per generator, in lockstep.
 
     ``tables`` are the model's ``_class_tables``.  Returns the batch pair
     index of each edge, as a concatenation of sorted runs, not sorted as a
-    whole.  The index space is the
-    disjoint union of the rings: with h = n // 2 classes per ring, class j of
-    ring i is the batch class g = i*h + j, which holds the indices
-    [g*n, g*n + m_pairs[j]).  A batch of one is the global pair index of
-    _decode_indices; _decode_batch decodes any batch.
+    whole.  A batch that cannot fit in memory, at _BYTES_PER_ITEM per vertex
+    and expected edge of each ring, is refused before any draw.  The index
+    space is the disjoint union of the rings: with h = n // 2 classes per
+    ring, class j of ring i is the batch class g = i*h + j, which holds the
+    indices [g*n, g*n + m_pairs[j]).  A batch of one is the global pair
+    index of _decode_indices; _decode_batch decodes any batch.
 
     Each generator makes exactly the calls it would make alone, in the
     same order, so a ring's edges do not depend on the batch it is drawn
@@ -383,10 +387,12 @@ def _sample_indices(
     to the number of selected pairs.  The batch index needs
     len(rngs) * n * h < 2^63; a batch of one always fits (n <= MAX_PAIR_KEY_N).
     """
-    n, m_pairs, probs = tables
+    n, m_pairs, probs, edges = tables
     r, h = len(rngs), n // 2
     if r * n * h >= 2**63:
         raise ValueError(f"{r} rings of n={n}: batch pair indices would overflow int64")
+    need = _BYTES_PER_ITEM * r * (n + edges)
+    _refuse_over_memory(need, lambda: f"{r} ring(s) of n={n} expect {r * edges:.4g} edges and need")
     counts = np.concatenate([rng.binomial(m_pairs, probs) for rng in rngs])
     sizes = np.tile(m_pairs, r) if r > 1 else m_pairs  # pair count per batch class
     nz = counts.nonzero()[0]
@@ -430,27 +436,21 @@ def _sample_indices(
 
 
 @lru_cache(maxsize=16)
-def _class_tables(n: int, c: float, kernel: Kernel) -> tuple[int, np.ndarray, np.ndarray]:
-    """Per-(n, c, kernel) class tables (n, m_pairs, probs), arrays read-only.
+def _class_tables(n: int, c: float, kernel: Kernel) -> tuple[int, np.ndarray, np.ndarray, float]:
+    """Per-(n, c, kernel) class tables (n, m_pairs, probs, edges), arrays read-only.
 
     m_pairs[j] and probs[j] are the pair count and edge probability of the
-    distance class d = j + 1; n rides along, so the tables alone fix the
-    global pair index space of _decode_indices.  An entry takes 16 bytes per
-    class, about 8 MB at n=1e6, hence the small cache.
+    distance class d = j + 1, and edges = m_pairs @ probs is the expected
+    edge count; n rides along, so the tables alone fix the global pair
+    index space of _decode_indices.  An entry takes 16 bytes per class,
+    about 8 MB at n=1e6, hence the small cache.
     """
     _check_vertex_count(n)
     _, _, m_pairs = distance_classes(n)
     probs = class_edge_probs(ModelParams(n=n, c=c, kernel=kernel))
     for table in (m_pairs, probs):
         table.setflags(write=False)
-    return n, m_pairs, probs
-
-
-@lru_cache(maxsize=16)
-def _expected_edges(n: int, c: float, kernel: Kernel) -> float:
-    """Expected edge count of the (n, c, kernel) law, the sum of m_pairs * probs."""
-    _, m_pairs, probs = _class_tables(n, c, kernel)
-    return float(m_pairs @ probs)
+    return n, m_pairs, probs, float(m_pairs @ probs)
 
 
 def _decode_indices(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -480,20 +480,19 @@ def _decode_batch(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
+def _model_key(params: ModelParams, tag: str, *parts) -> tuple:
+    """Key of the stream ``tag`` of the params law: (seed, tag, kernel spec,
+    n, c, *parts).  Every model stream of the package is keyed here."""
+    return stream_key(params.seed, tag, params.kernel.spec_string(), params.n, float(params.c), *parts)
+
+
 def _fast_key(params: ModelParams, replicate):
     """Key of the stream that sample_fast draws replicate ``replicate`` from.
 
     An integer array of replicates gives two arrays of key words (see
     ``stream_key``).
     """
-    return stream_key(
-        params.seed, "sample:fast", params.kernel.spec_string(), params.n, float(params.c), replicate
-    )
-
-
-def _fast_stream(params: ModelParams, replicate: int) -> np.random.Generator:
-    """The stream that sample_fast draws replicate ``replicate`` from."""
-    return keyed_stream(_fast_key(params, replicate))
+    return _model_key(params, "sample:fast", replicate)
 
 
 def _fast_batches(params: ModelParams, start: int, stop: int, batch: int):
@@ -508,7 +507,6 @@ def _fast_batches(params: ModelParams, start: int, stop: int, batch: int):
     because the list never leaves this generator.
     """
     n = params.n
-    _check_fits(n, params.c, params.kernel, min(batch, stop - start))
     tables = _class_tables(n, params.c, params.kernel)
     k0, k1 = _fast_key(params, np.arange(start, stop))
     keys = list(zip(k0.tolist(), k1.tolist()))
@@ -525,29 +523,23 @@ def _fast_batches(params: ModelParams, start: int, stop: int, batch: int):
 def sample_fast(params: ModelParams, replicate: int = 0) -> Graph:
     """Distance-class sampler; same law as sample_naive, O(n + |E|) work."""
     n = params.n
-    _check_fits(n, params.c, params.kernel, 1)
     tables = _class_tables(n, params.c, params.kernel)
-    idx = _sample_indices([_fast_stream(params, replicate)], tables)
+    idx = _sample_indices([keyed_stream(_fast_key(params, replicate))], tables)
     _, u, v = _decode_indices(n, idx)
     return Graph(n, canonical_edges(n, u, v), _validated=True)
 
 
-def _draw_filtration(
-    n: int, kernel: Kernel, c_max: float, seed: int, replicate: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(u, v, activation) of the edges open by c_max, in global-index order.
+def _draw_filtration(params: ModelParams, replicate: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, v, activation) of the edges open by c_max = params.c, in global-index order.
 
     The one draw behind sample_filtration, which sorts it into canonical
     rows, and behind the sprinkle replicates, which only label components
     and so need no edge order.  The pairs are not canonical rows: v may
     be below u.  _check_draw checks what Filtration would.
     """
-    if not c_max > 0:
-        raise ValueError(f"need c_max > 0, got {c_max}")
-    params = ModelParams(n=n, c=c_max, kernel=kernel, seed=seed)
-    _check_fits(n, c_max, kernel, 1)
-    rng = stream(seed, "filtration", kernel.spec_string(), n, float(c_max), replicate)
-    tables = _class_tables(n, params.c, kernel)
+    n, kernel, c_max = params.n, params.kernel, params.c
+    tables = _class_tables(n, c_max, kernel)
+    rng = keyed_stream(_model_key(params, "filtration", replicate))
     idx = _sample_indices([rng], tables)
     # Activations are drawn in increasing global-index order.  The indices
     # are a concatenation of sorted runs, so a stable (merging) sort is cheap.
@@ -574,10 +566,7 @@ def _check_draw(n: int, c_max: float, idx: np.ndarray, activation: np.ndarray) -
         raise ValueError("pair index out of range")
     if not (idx[1:] > idx[:-1]).all():
         raise ValueError("pair indices must be sorted and duplicate-free")
-    if activation.size and not (
-        activation.min() > 0 and activation.max() <= c_max * (1 + 1e-15)
-    ):
-        raise ValueError("activation levels must lie in (0, c_max]")
+    _check_levels(c_max, activation)
 
 
 def sample_filtration(
@@ -590,7 +579,10 @@ def sample_filtration(
     (0, min(c_max, h/f(d))].  Unrealized pairs are never materialized.
     The edges are those of _draw_filtration, sorted into canonical rows.
     """
-    u, v, activation = _draw_filtration(n, kernel, c_max, seed, replicate)
+    if not c_max > 0:
+        raise ValueError(f"need c_max > 0, got {c_max}")
+    params = ModelParams(n=n, c=c_max, kernel=kernel, seed=seed)
+    u, v, activation = _draw_filtration(params, replicate)
     keys = _pair_keys(n, u, v)
     order = np.argsort(keys)
     rows = _keys_to_rows(n, keys[order])

@@ -9,15 +9,16 @@ and worker count: replicate 17 of a given model draws the same numbers
 whether it runs first, last, or on another process.
 
 SeedSequence mixes its entropy words in order: the master seed, zero-padded
-to the 4-word pool, then two words per key part.  The last part, the
-replicate index in every caller, comes last, so the mixer state after every
-earlier word is shared by all replicates of a model.  numpy's own
-SeedSequence computes that state once per model, kept in a bounded
-``lru_cache``; numpy cannot resume a pool, so per call ``stream_key``
-absorbs only the last part's two words and runs ``generate_state``'s output
-hash itself.  Its keys equal ``SeedSequence(seed,
-spawn_key=key_words(*parts)).generate_state(2, np.uint64)``, which the
-tests use as the oracle.
+to the 4-word pool, then two words per key part.  The last part is the
+replicate index, except in ``blocks:pairs``, whose key ends with the block
+size m after it.  The mixer state after every earlier word is therefore
+shared by the streams that differ in the last part only, such as the
+replicates of a model.  numpy's own SeedSequence computes that state once
+per prefix, kept in a bounded ``lru_cache``; numpy cannot resume a pool,
+so per call ``stream_key`` absorbs only the last part's two words and runs
+``generate_state``'s output hash itself.  Its keys equal
+``SeedSequence(seed, spawn_key=key_words(*parts)).generate_state(2,
+np.uint64)``, which the tests use as the oracle.
 
 The last part may also be a 1-d integer array, such as a run of replicate
 indices: the same mixing code then runs on uint64 arrays (each word is

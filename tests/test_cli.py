@@ -195,6 +195,16 @@ class TestSample:
         expected = sample_fast(ModelParams.make(500, 1.0, 2.0, seed=11))
         assert graph == expected
 
+    @pytest.mark.parametrize("law", [["--alpha", "{}"], ["--kernel", "powerlog:alpha={0},beta={0}"]])
+    def test_negative_zero_draws_the_zero_graph(self, tmp_path, law):
+        # -0 == 0 as a kernel parameter, so both spell one law and one stream
+        outs = []
+        for zero in ("-0", "0"):
+            outs.append(tmp_path / f"g{zero}.edges")
+            argv = ["sample", "--n", "200", law[0], law[1].format(zero), "--c", "2", "--seed", "1"]
+            assert run([*argv, "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
 
 class TestComponentsCommand:
     def test_round_trip_equals_in_process(self, tmp_path):

@@ -1,6 +1,7 @@
 import concurrent.futures
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -425,15 +426,13 @@ class TestSprinkling:
         n, kernel, c_prime, delta, reps = 16, PowerLawKernel(1.0), 0.3, 0.2, 12
         draw = experiments._draw_filtration
 
-        def wide(n, kernel, c_max, seed, replicate):
-            return draw(n, kernel, 1.25 * c_max, seed, replicate)
+        def wide(params, replicate):
+            return draw(replace(params, c=1.25 * params.c), replicate)
 
         monkeypatch.setattr(experiments, "_draw_filtration", wide)
         res = sprinkling_experiment(n, kernel, c_prime, delta, 2, reps, master_seed=3, workers=1)
-        above = [
-            wide(n, kernel, c_prime + delta, 3, rep)[2].max(initial=0.0) > c_prime + delta
-            for rep in range(reps)
-        ]
+        params = ModelParams(n=n, c=c_prime + delta, kernel=kernel, seed=3)
+        above = [wide(params, rep)[2].max(initial=0.0) > c_prime + delta for rep in range(reps)]
         assert any(above) and not all(above)
         assert [not rec.nested_ok for rec in res.records] == above
 

@@ -30,6 +30,8 @@ from alphagraph.sampler import (
     write_edge_list,
     write_filtration,
 )
+from alphagraph.experiments import sprinkling_experiment
+from alphagraph.streams import keyed_stream
 
 
 BAD_VERTEX_COUNTS = [
@@ -299,23 +301,35 @@ class TestMemoryRefusal:
     # One n=1000, alpha=1, c=2 ring expects 1000 edges: ~240 kB at 120 bytes
     # per vertex and edge.  No test here allocates that much for real.
     @pytest.mark.parametrize(
-        "draw",
+        "draw, error",
         [
-            lambda: sample_fast(ModelParams.make(1000, 1.0, 2.0)),
-            lambda: sample_filtration(1000, PowerLawKernel(1.0), 2.0, seed=3),
-            lambda: list(sampler._fast_batches(ModelParams.make(1000, 1.0, 2.0), 0, 5, 4)),
+            (lambda: sample_fast(ModelParams.make(1000, 1.0, 2.0)), ValueError),
+            (lambda: sample_filtration(1000, PowerLawKernel(1.0), 2.0, seed=3), ValueError),
+            (lambda: list(sampler._fast_batches(ModelParams.make(1000, 1.0, 2.0), 0, 5, 4)),
+             ValueError),
+            # the driver raises the refusal, named by its replicates, as a RuntimeError
+            (lambda: sprinkling_experiment(1000, PowerLawKernel(1.0), 1.5, 0.5, 50, 2, workers=1),
+             RuntimeError),
         ],
-        ids=["sample_fast", "sample_filtration", "fast_batches"],
+        ids=["sample_fast", "sample_filtration", "fast_batches", "sprinkling_experiment"],
     )
-    def test_refused_before_any_draw(self, monkeypatch, draw):
-        def no_draw(rngs, tables):
-            raise AssertionError("a refused run drew")
+    def test_refused_before_any_draw(self, monkeypatch, draw, error):
+        made = []
+
+        def recording_stream(key):
+            rng = keyed_stream(key)
+            made.append((key, rng))
+            return rng
 
         monkeypatch.setattr(sampler, "_PHYSICAL_MEMORY", 200_000)
-        monkeypatch.setattr(sampler, "_sample_indices", no_draw)
-        with pytest.raises(ValueError, match=r"expect \d+ edges and need ~\S+ bytes, more than the "
-                                             r"200000 bytes of physical memory"):
+        monkeypatch.setattr(sampler, "keyed_stream", recording_stream)
+        with pytest.raises(error, match=r"expect \d+ edges and need ~\S+ bytes, more than the "
+                                        r"200000 bytes of physical memory"):
             draw()
+        # the draw's generators were made, and each still sits at its first draw
+        assert made
+        for key, rng in made:
+            np.testing.assert_array_equal(rng.integers(0, 2**62, 4), keyed_stream(key).integers(0, 2**62, 4))
 
     def test_batch_counts_every_ring(self, monkeypatch):
         # one n=500 ring needs ~120 kB; a batch of two, twice that
@@ -429,11 +443,11 @@ class TestFiltrationDraw:
         replicate=st.integers(0, 5),
     )
     def test_sorted_draw_is_the_filtration(self, n, alpha, c_max, seed, replicate):
-        kernel = ModelParams.make(n, alpha, c_max).kernel
-        u, v, activation = sampler._draw_filtration(n, kernel, c_max, seed, replicate)
+        params = ModelParams.make(n, alpha, c_max, seed)
+        u, v, activation = sampler._draw_filtration(params, replicate)
         keys = np.minimum(u, v) * n + np.maximum(u, v)
         order = np.argsort(keys)
-        filt = sample_filtration(n, kernel, c_max, seed, replicate)
+        filt = sample_filtration(n, params.kernel, c_max, seed, replicate)
         rows = np.column_stack([keys[order] // n, keys[order] % n])
         assert np.array_equal(rows, filt.edges)
         assert np.array_equal(activation[order], filt.activation)
@@ -463,7 +477,7 @@ class TestFiltrationDraw:
 
         monkeypatch.setattr(sampler, "_sample_indices", repeat_first)
         with pytest.raises(ValueError, match="duplicate-free"):
-            sampler._draw_filtration(64, PowerLawKernel(1.0), 2.0, 5, 0)
+            sampler._draw_filtration(ModelParams.make(64, 1.0, 2.0, seed=5), 0)
 
 
 class TestEdgeListFiles:

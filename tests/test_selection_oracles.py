@@ -15,9 +15,15 @@ from alphagraph.sampler import (
     _class_tables,
     _decode_batch,
     _decode_indices,
-    _fast_stream,
+    _fast_key,
     _sample_indices,
 )
+from alphagraph.streams import keyed_stream
+
+
+def fast_stream(params: ModelParams, rep: int) -> np.random.Generator:
+    """The generator that sample_fast draws replicate rep from."""
+    return keyed_stream(_fast_key(params, rep))
 
 
 def offsets_of(m_pairs: np.ndarray) -> np.ndarray:
@@ -102,10 +108,10 @@ SELECTION_GRID = [
 def test_merge_rounds_equal_resorting_rounds(n, alpha, c):
     params = ModelParams.make(n, alpha, c, seed=11)
     tables = _class_tables(n, params.c, params.kernel)
-    _, m_pairs, probs = tables
+    _, m_pairs, probs, _ = tables
     offsets = offsets_of(m_pairs)
     for rep in range(8 if n < 10**5 else 2):
-        ours, ref = _fast_stream(params, rep), _fast_stream(params, rep)
+        ours, ref = fast_stream(params, rep), fast_stream(params, rep)
         counts = ref.binomial(m_pairs, probs)
         got = _sample_indices([ours], tables)
         want = select_by_resorting(ref, m_pairs, counts, offsets)
@@ -129,9 +135,9 @@ LOCKSTEP_GRID = [(n, alpha, c) for n, alpha, c in SELECTION_GRID if n < 10**5] +
 def test_lockstep_batch_equals_independent_rings(n, alpha, c, rings):
     params = ModelParams.make(n, alpha, c, seed=5)
     tables = _class_tables(n, params.c, params.kernel)
-    _, m_pairs, probs = tables
+    _, m_pairs, probs, _ = tables
     offsets = offsets_of(m_pairs)
-    ours = [_fast_stream(params, rep) for rep in range(rings)]
+    ours = [fast_stream(params, rep) for rep in range(rings)]
     got = _sample_indices(ours, tables)
     assert np.unique(got).size == got.size
     ring, idx = np.divmod(got, n * (n // 2))
@@ -140,7 +146,7 @@ def test_lockstep_batch_equals_independent_rings(n, alpha, c, rings):
     np.testing.assert_array_equal(u, want_u + ring * n)
     np.testing.assert_array_equal(v, want_v + ring * n)
     for rep, rng in enumerate(ours):
-        ref = _fast_stream(params, rep)
+        ref = fast_stream(params, rep)
         want = select_by_resorting(ref, m_pairs, ref.binomial(m_pairs, probs), offsets)
         np.testing.assert_array_equal(np.sort(idx[ring == rep]), np.sort(want))
         assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
@@ -151,4 +157,4 @@ def test_batch_whose_index_overflows_int64_is_refused():
     empty = np.empty(0)
     rngs = [np.random.default_rng(0) for _ in range(5)]
     with pytest.raises(ValueError, match="overflow"):
-        _sample_indices(rngs, (n, empty, empty))
+        _sample_indices(rngs, (n, empty, empty, 0.0))

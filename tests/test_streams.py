@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from alphagraph.model import ModelParams, PowerLawKernel
-from alphagraph.sampler import _class_tables, _fast_key, _fast_stream, _sample_indices
+from alphagraph.sampler import _class_tables, _fast_key, _sample_indices
 from alphagraph.streams import key_words, keyed_stream, rekey, stream, stream_key
 
 SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 + 7, 2**128, 2**128 + 2**70 + 3)
@@ -142,9 +142,9 @@ def test_batch_rekeyed_generator_draws_like_a_fresh_fast_stream():
     # the sweep draws every replicate of a batch from one re-keyed generator
     params = ModelParams(n=1024, c=2.0, kernel=PowerLawKernel(1.0), seed=2**40 + 11)
     tables = _class_tables(params.n, params.c, params.kernel)
-    rng = _fast_stream(params, 0)
+    rng = keyed_stream(_fast_key(params, 0))
     for rep in (0, 1, 2, 2**32 + 1):
         rekey(rng, _fast_key(params, rep))
         got = _sample_indices([rng], tables)
-        want = _sample_indices([_fast_stream(params, rep)], tables)
+        want = _sample_indices([keyed_stream(_fast_key(params, rep))], tables)
         np.testing.assert_array_equal(got, want)

@@ -59,11 +59,6 @@ def _csv_digest(tmp_path, argv, workers=None):
     return hashlib.blake2b(out.read_bytes(), digest_size=16).hexdigest()
 
 
-@pytest.fixture(autouse=True)
-def _no_worker_override(monkeypatch):
-    monkeypatch.delenv("ALPHAGRAPH_WORKERS", raising=False)
-
-
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_csv_digest(tmp_path, workers):
     assert _csv_digest(tmp_path, SWEEP_ARGV, workers) == SWEEP_DIGEST
