@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import sampler
 from .model import ModelParams, NearestNeighborKernel, class_edge_probs, distance_classes
 
 __all__ = [
@@ -85,21 +84,11 @@ class DegreePGF:
         return math.fsum(memoryview(self.mu * self.p))
 
 
-# Peak bytes per distance class of the finite-n law and its solve
-# (tracemalloc at n = 1e6 and 4e6, alpha = 1, c = 2).
-_BYTES_PER_CLASS = 56
-
-
 def finite_degree_pgf(params: ModelParams) -> DegreePGF:
-    """Exact PGF of one vertex's degree under the given model.  Refused before
-    any allocation if its n // 2 classes cannot fit in physical memory: no
-    one array is too large to allocate, so the process would grow until the
-    OS killed it."""
+    """Exact PGF of one vertex's degree under the given model; a law that
+    cannot fit in memory is refused by distance_classes before it is built."""
     if isinstance(params.kernel, NearestNeighborKernel):
         raise ValueError("degree PGF is defined for finite-alpha kernels only")
-    sampler._refuse_over_memory(
-        _BYTES_PER_CLASS * (params.n // 2), lambda: f"the degree law of n={params.n} needs"
-    )
     _, mu, _ = distance_classes(params.n)
     return DegreePGF(class_edge_probs(params), mu)
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import _refuse_over_memory
 from .sampler import Graph
 
 __all__ = [
@@ -90,6 +91,11 @@ def _label_edges(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         lu, lv = lu[live], lv[live]
 
 
+# Peak bytes per vertex and edge of components() (tracemalloc at n = 1e6: at
+# most 20 on sampled graphs, alpha in {0, 1, 3}, and 25 on an edgeless one).
+_LABEL_BYTES_PER_ITEM = 25
+
+
 def component_labels(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Per-vertex component labels plus per-label sizes.
 
@@ -97,9 +103,13 @@ def component_labels(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     deterministic; sizes[labels] gives each vertex's component size.  This
     wraps the package's one component engine, ``_label_edges``, which the
     sweep also runs on the disjoint union of a batch of replicate graphs.
+    Labels that cannot fit in physical memory, at _LABEL_BYTES_PER_ITEM per
+    vertex and edge, are refused first: a file header may name 3e9 vertices.
     """
-    label = _label_edges(graph.n, graph.edges[:, 0], graph.edges[:, 1])
-    return label, np.bincount(label, minlength=graph.n)
+    n, m = graph.n, graph.num_edges
+    _refuse_over_memory(_LABEL_BYTES_PER_ITEM * (n + m), lambda: f"labelling n={n} vertices and {m} edges needs")
+    label = _label_edges(n, graph.edges[:, 0], graph.edges[:, 1])
+    return label, np.bincount(label, minlength=n)
 
 
 def components(graph: Graph) -> ComponentSummary:

@@ -406,11 +406,13 @@ class BlockStats:
     replicates: int
 
 
-def _block_pair_index(bu: np.ndarray, bv: np.ndarray, dist: int, nb: int) -> np.ndarray:
-    """Ring index i of block pairs (i, (i+dist) mod nb) among (bu, bv) rows."""
-    forward = (bu + dist) % nb == bv
-    backward = (bv + dist) % nb == bu
-    return np.unique(np.concatenate([bu[forward], bv[backward]]))
+def _block_pair_mask(bu: np.ndarray, bv: np.ndarray, dist: int, nb: int) -> np.ndarray:
+    """Per ring position i, whether block pair (i, (i+dist) mod nb) is among
+    the (bu, bv) rows; 1 <= dist <= nb/2 < nb, so no row within a block is."""
+    mask = np.zeros(nb, dtype=bool)
+    mask[bu[(bu + dist) % nb == bv]] = True
+    mask[bv[(bv + dist) % nb == bu]] = True
+    return mask
 
 
 def _block_run(
@@ -426,19 +428,16 @@ def _block_run(
             nb = n // m
             bu = u // m
             bv = v // m
-            off = bu != bv
-            buo, bvo = bu[off], bv[off]
-            # Adjacent pairs: all nb ring-adjacent block pairs.
-            adj_present = _block_pair_index(buo, bvo, 1, nb)
-            # Non-adjacent pairs at the probed circular block distance.
-            non_present = _block_pair_index(buo, bvo, nonadj_dist, nb)
+            # All nb ring-adjacent block pairs, and those at the probed distance.
+            adj_hits = int(_block_pair_mask(bu, bv, 1, nb).sum())
+            non_present = _block_pair_mask(bu, bv, nonadj_dist, nb)
             if nb <= pairs_cap:
                 sampled = np.arange(nb)
             else:
                 srng = keyed_stream(_model_key(params, "blocks:pairs", rep, m))
                 sampled = srng.choice(nb, size=pairs_cap, replace=False)
-            non_hits = int(np.isin(sampled, non_present).sum())
-            per_m.append((adj_present.size, nb, non_hits, sampled.size))
+            non_hits = int(non_present[sampled].sum())
+            per_m.append((adj_hits, nb, non_hits, sampled.size))
         out.append(per_m)
     return out
 

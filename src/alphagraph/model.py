@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -238,17 +239,36 @@ def ring_distance(u: int, v: int, n: int) -> int:
     return min(a, n - a)
 
 
+# The memory every run must fit in (a cgroup limit below it is not seen), and
+# the peak bytes per class of a distance-class law, built and solved or built
+# for sampling (tracemalloc at n = 1e6 and 4e6, alpha in {0, 1}).
+_PHYSICAL_MEMORY = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+_BYTES_PER_CLASS = 56
+
+
+def _refuse_over_memory(need: float, names_run) -> None:
+    """Refuse a run that needs ``need`` bytes, more than physical memory: it
+    would grow until the OS killed the process.  The message starts with
+    ``names_run()``, called only on refusal."""
+    if need > _PHYSICAL_MEMORY:
+        raise ValueError(
+            f"{names_run()} ~{need:.4g} bytes, more than the {_PHYSICAL_MEMORY} bytes of physical memory"
+        )
+
+
 def distance_classes(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distance classes of the n-ring.
 
     Returns (d, mu, m_pairs) where d = 1..n//2, mu[d] is the number of
     vertices at distance d from a fixed vertex (2, except 1 at d = n/2 for
     even n), and m_pairs[d] = n*mu/2 is the number of unordered pairs at
-    distance d.
+    distance d.  Every distance-class law starts here: one whose classes need
+    more than physical memory, at _BYTES_PER_CLASS each, is refused first.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     k = n // 2
+    _refuse_over_memory(_BYTES_PER_CLASS * k, lambda: f"the degree law of n={n} needs")
     d = np.arange(1, k + 1, dtype=np.int64)
     mu = np.full(k, 2, dtype=np.int64)
     m_pairs = np.full(k, n, dtype=np.int64)
@@ -286,6 +306,8 @@ class ModelParams:
             raise ValueError(f"need n >= 2, got {self.n}")
         if not (self.c >= 0 and math.isfinite(self.c)):
             raise ValueError(f"need finite c >= 0, got {self.c}")
+        # abs turns -0.0 into 0.0, and no other c: equal laws, one stream key
+        object.__setattr__(self, "c", abs(self.c))
         if not (0 <= self.seed < 2**64):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 

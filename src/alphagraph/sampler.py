@@ -32,6 +32,7 @@ import numpy as np
 from .model import (
     Kernel,
     ModelParams,
+    _refuse_over_memory,
     class_edge_probs,
     distance_classes,
     kernel_alpha,
@@ -122,21 +123,8 @@ def _check_vertex_count(n: int) -> None:
         raise ValueError(f"n={n} exceeds {MAX_PAIR_KEY_N}: int64 pair keys would overflow")
 
 
-# Criterion 12's bound on sample_fast's peak, in bytes per vertex and edge,
-# and the memory a draw, or branching's finite-n law, must fit in (a cgroup
-# limit below it is not seen).
+# Criterion 12's bound on sample_fast's peak, in bytes per vertex and edge.
 _BYTES_PER_ITEM = 120
-_PHYSICAL_MEMORY = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-
-
-def _refuse_over_memory(need: float, names_run) -> None:
-    """Refuse a run that needs ``need`` bytes, more than physical memory: it
-    would grow until the OS killed the process.  The message starts with
-    ``names_run()``, called only on refusal."""
-    if need > _PHYSICAL_MEMORY:
-        raise ValueError(
-            f"{names_run()} ~{need:.4g} bytes, more than the {_PHYSICAL_MEMORY} bytes of physical memory"
-        )
 
 
 def _canonical_fault(n: int, edges: np.ndarray) -> str | None:
@@ -349,14 +337,15 @@ def _sample_indices(
 ) -> np.ndarray:
     """Draw the edge sets of len(rngs) rings, one per generator, in lockstep.
 
-    ``tables`` are the model's ``_class_tables``.  Returns the batch pair
-    index of each edge, as a concatenation of sorted runs, not sorted as a
-    whole.  A batch that cannot fit in memory, at _BYTES_PER_ITEM per vertex
-    and expected edge of each ring, is refused before any draw.  The index
-    space is the disjoint union of the rings: with h = n // 2 classes per
-    ring, class j of ring i is the batch class g = i*h + j, which holds the
-    indices [g*n, g*n + m_pairs[j]).  A batch of one is the global pair
-    index of _decode_indices; _decode_batch decodes any batch.
+    ``tables`` are the model's ``_class_tables``, whose law distance_classes
+    refused if it could not fit in memory.  Returns the batch pair index of
+    each edge, as a concatenation of sorted runs, not sorted as a whole.  A
+    batch whose draw cannot fit, at _BYTES_PER_ITEM per vertex and expected
+    edge of each ring, is refused before any draw.  The index space is the
+    disjoint union of the rings: with h = n // 2 classes per ring, class j
+    of ring i is the batch class g = i*h + j, which holds the indices
+    [g*n, g*n + m_pairs[j]).  A batch of one is the global pair index of
+    _decode_indices; _decode_batch decodes any batch.
 
     Each generator makes exactly the calls it would make alone, in the
     same order, so a ring's edges do not depend on the batch it is drawn

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -206,6 +207,16 @@ class TestSample:
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
+    def test_negative_zero_density_is_zero(self, tmp_path):
+        # -0 == 0 as a density: one law, one header and one stream
+        outs = [tmp_path / "g-0.edges", tmp_path / "g0.edges"]
+        for zero, out in zip(("-0", "0"), outs):
+            argv = ["sample", "--n", "200", "--alpha", "1", "--c", zero, "--seed", "1"]
+            assert run([*argv, "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert outs[0].read_text().startswith("# alphagraph v1 n=200 alpha=1.0 c=0.0 seed=1\n")
+
+
 class TestComponentsCommand:
     def test_round_trip_equals_in_process(self, tmp_path):
         edges = tmp_path / "g.edges"
@@ -342,6 +353,14 @@ class TestSweepCommand:
         sidecar = json.loads((tmp_path / "sweep.csv.json").read_text())
         assert sidecar["spec"]["master_seed"] == 42
         assert sidecar["config"]["command"] == "sweep"
+
+    def test_negative_zero_density_writes_zero(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--alphas", "1", "--cs=-0,2", "--ns", "64", "--reps", "2",
+                    "--workers", "1", "--out", str(out)]) == 0
+        with open(out) as fh:
+            zero, two = csv.DictReader(fh)
+        assert zero["c"] == "0" and two["c"] == "2"
 
 
 class TestOtherCommands:
@@ -646,12 +665,7 @@ class TestErrorPaths:
 
     def test_gw_rho_law_that_cannot_fit_exits_1(self, capsys, monkeypatch):
         # 500 distance classes need 28 kB at 56 bytes each; none may be built
-        def no_allocation(*args, **kwargs):
-            raise AssertionError("allocated before the memory check")
-
-        monkeypatch.setattr("alphagraph.sampler._PHYSICAL_MEMORY", 10_000)
-        monkeypatch.setattr("alphagraph.branching.distance_classes", no_allocation)
-        monkeypatch.setattr("alphagraph.branching.class_edge_probs", no_allocation)
+        monkeypatch.setattr("alphagraph.model._PHYSICAL_MEMORY", 10_000)
         assert run(["gw-rho", "--c", "2", "--n", "1000", "--alpha", "1"]) == 1
         captured = capsys.readouterr()
         assert captured.err == (
@@ -659,6 +673,39 @@ class TestErrorPaths:
             "more than the 10000 bytes of physical memory\n"
         )
         assert captured.out == ""
+        # the call the command refused: the law takes ~28 kB, d, mu and m_pairs 12 kB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="the degree law of n=1000 needs"):
+                branching.finite_degree_pgf(ModelParams.make(1000, 1.0, 2.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000
+
+    def test_components_that_cannot_fit_exit_1(self, tmp_path, capsys, monkeypatch):
+        # a header may name a ring with no rows; its labels need 25 bytes per vertex
+        path = tmp_path / "empty.edges"
+        path.write_text("# alphagraph v1 n=1000000 alpha=1.0 c=2.0 seed=1\n")
+        monkeypatch.setattr("alphagraph.model._PHYSICAL_MEMORY", 1_000_000)
+        out = tmp_path / "c.csv"
+        assert run(["components", "--in", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: labelling n=1000000 vertices and 0 edges needs ~2.5e+07 bytes, "
+            "more than the 1000000 bytes of physical memory\n"
+        )
+        assert captured.out == ""
+        assert sorted(tmp_path.iterdir()) == [path]
+        graph, _ = read_edge_list(path)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="labelling n=1000000 vertices"):
+                components(graph)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024  # the label array alone would take 8 MB
 
     @pytest.mark.parametrize(
         "argv",
@@ -670,7 +717,7 @@ class TestErrorPaths:
     )
     def test_run_that_cannot_fit_exits_1(self, tmp_path, capsys, monkeypatch, argv):
         # 1000 vertices and ~1000 edges need ~240 kB at 120 bytes each
-        monkeypatch.setattr("alphagraph.sampler._PHYSICAL_MEMORY", 100_000)
+        monkeypatch.setattr("alphagraph.model._PHYSICAL_MEMORY", 100_000)
         out = tmp_path / "x"
         assert run([*argv, "--out", str(out)]) == 1
         captured = capsys.readouterr()
@@ -682,7 +729,7 @@ class TestErrorPaths:
 
     def test_sweep_records_a_run_that_cannot_fit(self, tmp_path, monkeypatch):
         # two n=16 rings need ~7.7 kB, two n=1000 rings ~480 kB
-        monkeypatch.setattr("alphagraph.sampler._PHYSICAL_MEMORY", 100_000)
+        monkeypatch.setattr("alphagraph.model._PHYSICAL_MEMORY", 100_000)
         out = tmp_path / "w.csv"
         assert run(["sweep", "--alphas", "1", "--cs", "2", "--ns", "16,1000", "--reps", "2",
                     "--workers", "1", "--out", str(out)]) == 0
@@ -690,6 +737,23 @@ class TestErrorPaths:
             small, big = csv.DictReader(fh)
         assert small["error"] == "" and float(small["mean_fraction"]) > 0
         assert big["error"].startswith("replicates [0, 2): ValueError: 2 ring(s) of n=1000 ")
+        assert big["mean_fraction"] == "nan"
+
+    def test_sweep_records_a_law_that_cannot_fit(self, tmp_path, monkeypatch):
+        # two n=16 rings need ~7.7 kB; the n=1e6 law alone ~28 MB, at 56
+        # bytes per class.  A cached law would skip the refusal.
+        sampler._class_tables.cache_clear()
+        monkeypatch.setattr("alphagraph.model._PHYSICAL_MEMORY", 1_000_000)
+        out = tmp_path / "w.csv"
+        assert run(["sweep", "--alphas", "1", "--cs", "2", "--ns", "16,1e6", "--reps", "2",
+                    "--workers", "1", "--out", str(out)]) == 0
+        with open(out) as fh:
+            small, big = csv.DictReader(fh)
+        assert small["error"] == "" and float(small["mean_fraction"]) > 0
+        assert big["error"] == (
+            "replicates [0, 2): ValueError: the degree law of n=1000000 needs ~2.8e+07 bytes, "
+            "more than the 1000000 bytes of physical memory"
+        )
         assert big["mean_fraction"] == "nan"
 
     @pytest.mark.parametrize(
@@ -947,7 +1011,7 @@ def reached(monkeypatch) -> list:
     monkeypatch.setattr(cli, "sample_fast", recorded("sample_fast", cli.sample_fast))
     monkeypatch.setattr(cli, "read_edge_list", recorded("read_edge_list", cli.read_edge_list))
     monkeypatch.setattr(branching, "extinction", recorded("extinction", branching.extinction))
-    monkeypatch.setattr(sampler, "_PHYSICAL_MEMORY", 1 << 28)
+    monkeypatch.setattr("alphagraph.model._PHYSICAL_MEMORY", 1 << 28)
     return names
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,7 +18,8 @@ from alphagraph.model import (
     edge_prob,
     marginal_degree_sum,
 )
-from alphagraph import sampler
+from alphagraph import model, sampler
+from alphagraph.branching import finite_degree_pgf
 from alphagraph.sampler import (
     Filtration,
     Graph,
@@ -321,7 +323,7 @@ class TestMemoryRefusal:
             made.append((key, rng))
             return rng
 
-        monkeypatch.setattr(sampler, "_PHYSICAL_MEMORY", 200_000)
+        monkeypatch.setattr(model, "_PHYSICAL_MEMORY", 200_000)
         monkeypatch.setattr(sampler, "keyed_stream", recording_stream)
         with pytest.raises(error, match=r"expect \d+ edges and need ~\S+ bytes, more than the "
                                         r"200000 bytes of physical memory"):
@@ -331,9 +333,35 @@ class TestMemoryRefusal:
         for key, rng in made:
             np.testing.assert_array_equal(rng.integers(0, 2**62, 4), keyed_stream(key).integers(0, 2**62, 4))
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            sample_fast,
+            lambda params: sample_filtration(params.n, params.kernel, params.c, seed=3),
+            lambda params: list(sampler._fast_batches(params, 0, 5, 4)),
+            finite_degree_pgf,
+        ],
+        ids=["sample_fast", "sample_filtration", "fast_batches", "finite_degree_pgf"],
+    )
+    def test_law_refused_before_it_is_built(self, monkeypatch, build):
+        # The n=1e6 law needs ~28 MB at 56 bytes per class: refused with a
+        # peak far below that.  A cached law would skip the refusal.
+        sampler._class_tables.cache_clear()
+        monkeypatch.setattr(model, "_PHYSICAL_MEMORY", 1_000_000)
+        params = ModelParams.make(10**6, 1.0, 2.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^the degree law of n=1000000 needs ~2\.8e\+07 "
+                                                 r"bytes, more than the 1000000 bytes of physical memory$"):
+                build(params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
     def test_batch_counts_every_ring(self, monkeypatch):
         # one n=500 ring needs ~120 kB; a batch of two, twice that
-        monkeypatch.setattr(sampler, "_PHYSICAL_MEMORY", 200_000)
+        monkeypatch.setattr(model, "_PHYSICAL_MEMORY", 200_000)
         params = ModelParams.make(500, 1.0, 2.0)
         assert len(list(sampler._fast_batches(params, 0, 3, 1))) == 3
         with pytest.raises(ValueError, match="2 ring"):
@@ -342,7 +370,7 @@ class TestMemoryRefusal:
     def test_a_run_that_fits_keeps_its_bits(self, monkeypatch):
         params = ModelParams.make(1000, 1.0, 2.0, seed=4)
         graph = sample_fast(params)
-        monkeypatch.setattr(sampler, "_PHYSICAL_MEMORY", 240_001)
+        monkeypatch.setattr(model, "_PHYSICAL_MEMORY", 240_001)
         assert sample_fast(params) == graph
 
 
