@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import asdict
 
@@ -130,6 +131,12 @@ class _Parser(argparse.ArgumentParser):
     """ArgumentParser that runs check(parser, args), a command's cross-flag rules."""
 
     check = staticmethod(lambda parser, args: None)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes "-0,2" and "-1e-3" for options; no option of ours
+        # starts with a digit, so each is a value for its flag's type to judge.
+        self._negative_number_matcher = re.compile(r"^-\d")
 
     def parse_known_args(self, args=None, namespace=None):
         parsed, extras = super().parse_known_args(args, namespace)

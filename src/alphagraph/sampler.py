@@ -283,13 +283,6 @@ def sample_naive(params: ModelParams, replicate: int = 0) -> Graph:
     return Graph(n, edges, _validated=True)
 
 
-def _repeat_mask(keys: np.ndarray) -> np.ndarray:
-    """True where an entry of the sorted array ``keys`` equals its predecessor."""
-    repeat = np.zeros(keys.shape, dtype=bool)
-    np.equal(keys[1:], keys[:-1], out=repeat[1:])
-    return repeat
-
-
 def _draw_members(
     rngs: list[np.random.Generator], n: int, cls: np.ndarray, marks: np.ndarray
 ) -> np.ndarray:
@@ -319,19 +312,6 @@ def _draw_members(
     return members
 
 
-# Smallest chosen set that a rejection round merges its new draws into; a
-# smaller one is re-sorted together with them.  One round's cost in us, by
-# chosen-set size and draws per round (best of 7 timeit runs, 2 shared
-# cores, numpy 2.4.6):
-#     size                1024   2048   4096   8192  16384
-#     re-sort,  8 draws     20     29     50     91    176
-#     merge,    8 draws     35     36     37     47     51
-#     re-sort, 32 draws     22     33     55     95    186
-#     merge,   32 draws     39     42     44     48     58
-# The merge's fixed cost (np.insert, searchsorted) loses below ~3000 keys.
-_MERGE_MIN_CHOSEN = 4096
-
-
 def _sample_indices(
     rngs: list[np.random.Generator], tables: tuple[int, np.ndarray, np.ndarray, float]
 ) -> np.ndarray:
@@ -353,27 +333,21 @@ def _sample_indices(
     in ascending class order, then one _draw_members per rejection round in
     which its ring still has repeats.  Clamped classes (count == m) are
     emitted whole.  The sparse classes of every ring are filled by one
-    vectorized rejection, whose sorting, repeat masks and merges run once
-    per round for the whole batch.  The first round draws every member
-    with replacement; each later round redraws one member in the class of
-    each repeat.  The chosen set stays sorted and unique:
-
-    * below _MERGE_MIN_CHOSEN keys, a round re-sorts it together with its
-      draws and drops repeats with an adjacent-difference mask;
-    * from there on, a round sorts only its own draws, marks a draw as a
-      repeat if it equals its predecessor or is already chosen (one
-      searchsorted), and inserts the fresh ones.  At 4096 chosen keys this
-      costs 37 us against 50 us for the re-sort, and its cost barely grows
-      with the set (51 us against 176 us at 16384).  At n=1e6 every
-      round after the first merges: 3 rounds at alpha=1, c=2 and 14 at
-      alpha=3, c=0.9.
-
-    Either way the repeats come out in ascending order and each value
-    repeats as often, so the class list of the next round, and with it
-    every draw, depends neither on which way a round went nor on the other
-    rings of the batch.  The rounds end when one leaves no repeat, and make
-    no draw if no class is sparse.  The per-class cost stays proportional
-    to the number of selected pairs.  The batch index needs
+    vectorized rejection, whose sorting and repeat masks run once per round
+    for the whole batch.  The first round draws every member with
+    replacement; each later round redraws one member in the class of each
+    repeat.  Each round sorts only its own draws and keeps the fresh ones as
+    one more sorted, duplicate-free run: a draw is a repeat if it equals its
+    predecessor or lies in an earlier run (one searchsorted per run).  A
+    value drawn j times thus repeats j times if an earlier round chose it
+    and j - 1 times otherwise, the same multiset as a re-sort of the whole
+    chosen set would give, and the repeats come out in ascending order.  So
+    the class list of each round, and with it every draw, depends neither
+    on how the chosen set is stored nor on the other rings of the batch.
+    The rounds end when one leaves no repeat (3 rounds at n=1e6, alpha=1,
+    c=2 and 14 at alpha=3, c=0.9), and make no draw if no class is sparse.
+    The per-class cost stays proportional to the number of selected pairs.
+    The batch index needs
     len(rngs) * n * h < 2^63; a batch of one always fits (n <= MAX_PAIR_KEY_N).
     """
     n, m_pairs, probs, edges = tables
@@ -387,7 +361,7 @@ def _sample_indices(
     nz = counts.nonzero()[0]
     k, m = counts[nz], sizes[nz]
     half = m // 2
-    parts: list[np.ndarray] = []
+    parts = [np.empty(0, dtype=np.int64)]  # concatenate needs one array
 
     for g in nz[k == m].tolist():
         parts.append(np.arange(g * n, g * n + sizes[g], dtype=np.int64))
@@ -402,25 +376,19 @@ def _sample_indices(
     # bound n // 2 (its last class at even n, its end at odd n); then the end.
     switch = h - 1 + n % 2
     marks = np.array([*chain.from_iterable((g, g + switch) for g in range(0, r * h, h)), r * h])
-    chosen = np.empty(0, dtype=np.int64)
+    runs: list[np.ndarray] = []
     while cls.size:
         draws = _draw_members(rngs, n, cls, marks)
-        if chosen.size < _MERGE_MIN_CHOSEN:
-            chosen = np.concatenate([chosen, draws]) if chosen.size else draws
-            chosen.sort()
-            repeat = _repeat_mask(chosen)
-            if not repeat.any():
-                break
-            cls = chosen[repeat] // n
-            chosen = chosen[~repeat]
-        else:
-            draws.sort()
-            at = np.searchsorted(chosen, draws)
-            repeat = _repeat_mask(draws) | (chosen.take(at, mode="clip") == draws)
-            fresh = ~repeat
-            cls = draws[repeat] // n
-            chosen = np.insert(chosen, at[fresh], draws[fresh])
-    parts.append(chosen)
+        draws.sort()
+        repeat = np.zeros(draws.shape, dtype=bool)
+        np.equal(draws[1:], draws[:-1], out=repeat[1:])
+        for run in runs:
+            repeat |= run.take(run.searchsorted(draws), mode="clip") == draws
+        cls = draws[repeat] // n
+        fresh = draws[~repeat]
+        if fresh.size:
+            runs.append(fresh)
+    parts += runs
     return np.concatenate(parts)
 
 

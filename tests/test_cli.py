@@ -355,12 +355,15 @@ class TestSweepCommand:
         assert sidecar["config"]["command"] == "sweep"
 
     def test_negative_zero_density_writes_zero(self, tmp_path):
-        out = tmp_path / "sweep.csv"
-        assert run(["sweep", "--alphas", "1", "--cs=-0,2", "--ns", "64", "--reps", "2",
-                    "--workers", "1", "--out", str(out)]) == 0
+        out, spaced = tmp_path / "sweep.csv", tmp_path / "spaced.csv"
+        grid = ["sweep", "--alphas", "1", "--ns", "64", "--reps", "2", "--workers", "1"]
+        assert run([*grid, "--cs=-0,2", "--out", str(out)]) == 0
         with open(out) as fh:
             zero, two = csv.DictReader(fh)
         assert zero["c"] == "0" and two["c"] == "2"
+        # a list may start with a minus sign without "=" (argparse took "-0,2" for an option)
+        assert run([*grid, "--cs", "-0,2", "--out", str(spaced)]) == 0
+        assert spaced.read_bytes() == out.read_bytes()
 
 
 class TestOtherCommands:
@@ -538,6 +541,13 @@ class TestErrorPaths:
             (["sweep", "--alphas", "1", "--cs", "1", "--ns", "64",
               "--seed", "18446744073709551616"],
              "argument --seed: expected integer >= 0 and < 18446744073709551616"),
+            # values that start with a minus sign and a digit go to the flag's type
+            (["sweep", "--alphas", "1", "--cs", "-1,2", "--ns", "64"],
+             "argument --cs: expected number >= 0, got '-1'"),
+            (["sample", "--n", "100", "--alpha", "1", "--c", "-1e-3"],
+             "argument --c: expected number >= 0, got '-1e-3'"),
+            (["sample", "--n", "-1e5", "--alpha", "1", "--c", "1"],
+             "argument --n: expected integer >= 2, got '-1e5'"),
         ],
     )
     def test_malformed_argv_exits_2_before_sampling(

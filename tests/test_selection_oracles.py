@@ -1,16 +1,17 @@
 """Oracles for the global pair index: its closed-form decode, and class
-selection by merge-only rejection rounds with scalar-bound draws, each
-against the offsets-table code it replaced, and lockstep batches against
-independent rings.  A change in any of them would change sampled bits."""
+selection by rejection rounds that keep one sorted run per round, with
+scalar-bound draws, each against the offsets-table code it replaced, and
+lockstep batches against independent rings.  A change in any of them would
+change sampled bits."""
 
 import math
 
 import numpy as np
 import pytest
 
+from alphagraph import sampler
 from alphagraph.model import ModelParams, distance_classes
 from alphagraph.sampler import (
-    _MERGE_MIN_CHOSEN,
     MAX_PAIR_KEY_N,
     _class_tables,
     _decode_batch,
@@ -39,8 +40,8 @@ def decode_by_search(n: int, offsets: np.ndarray, idx: np.ndarray):
 
 
 def select_by_resorting(rng, m_pairs, counts, offsets):
-    """Class selection before merge-only rounds: every rejection round
-    re-sorts the whole chosen set together with its draws."""
+    """Class selection as first written: every rejection round re-sorts
+    the whole chosen set together with its draws."""
     nz = np.nonzero(counts)[0]
     k, m = counts[nz], m_pairs[nz]
     half = m // 2
@@ -93,9 +94,9 @@ class TestDecode:
             assert min(abs(u - v), n - abs(u - v)) == j + 1
 
 
-# Both sides of _MERGE_MIN_CHOSEN: n=64 and n=1025 draw a few hundred sparse
-# members at most, n=1e5 draws tens of thousands, and alpha=3, c=0.9 at 1e5
-# takes 10-11 rejection rounds, all but the first merging.
+# n=64 and n=1025 draw a few hundred sparse members at most, n=1e5 draws tens
+# of thousands, and alpha=3, c=0.9 at 1e5 takes 10-11 rejection rounds, so
+# the chosen set is kept as that many runs.
 SELECTION_GRID = [
     (n, alpha, c)
     for n in (64, 1025, 10**5)
@@ -105,7 +106,15 @@ SELECTION_GRID = [
 
 
 @pytest.mark.parametrize("n, alpha, c", SELECTION_GRID)
-def test_merge_rounds_equal_resorting_rounds(n, alpha, c):
+def test_merge_rounds_equal_resorting_rounds(n, alpha, c, monkeypatch):
+    rounds = []
+    draw_members = sampler._draw_members
+
+    def counted(*args):
+        rounds.append(None)
+        return draw_members(*args)
+
+    monkeypatch.setattr(sampler, "_draw_members", counted)
     params = ModelParams.make(n, alpha, c, seed=11)
     tables = _class_tables(n, params.c, params.kernel)
     _, m_pairs, probs, _ = tables
@@ -113,21 +122,23 @@ def test_merge_rounds_equal_resorting_rounds(n, alpha, c):
     for rep in range(8 if n < 10**5 else 2):
         ours, ref = fast_stream(params, rep), fast_stream(params, rep)
         counts = ref.binomial(m_pairs, probs)
+        rounds.clear()
         got = _sample_indices([ours], tables)
         want = select_by_resorting(ref, m_pairs, counts, offsets)
         np.testing.assert_array_equal(np.sort(got), np.sort(want))
         assert got.size == counts.sum() == np.unique(got).size
         assert ours.integers(0, 2**62) == ref.integers(0, 2**62)
-    if n == 10**5:
-        assert got.size > _MERGE_MIN_CHOSEN  # the merge rounds ran
+        if (n, alpha, c) == (10**5, 3.0, 0.9):
+            assert len(rounds) >= 10  # many runs to search
 
 
 # Every class kind: n=2 rings are clamped whole, n=3 and the nearest-neighbour
 # kernel at c=0.9 have dense classes, and c=0 draws no edge.  At n=1025 and
-# c=2 a batch of 17 rings chooses ~17k keys, so its rounds merge.
+# c=2 a batch of 17 rings chooses ~17k keys.  At n=64, alpha=0, c=30 the
+# classes are close to half full, so 17 rings take ~15 rounds, and as many runs.
 LOCKSTEP_GRID = [(n, alpha, c) for n, alpha, c in SELECTION_GRID if n < 10**5] + [
     (n, alpha, c) for n in (2, 3) for alpha in (0.0, 3.0, math.inf) for c in (0.0, 0.5, 0.9, 2.0)
-] + [(64, 1.0, 0.0), (1025, 3.0, 0.0)]
+] + [(64, 1.0, 0.0), (1025, 3.0, 0.0), (64, 0.0, 30.0)]
 
 
 @pytest.mark.parametrize("rings", [1, 3, 17])
