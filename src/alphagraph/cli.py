@@ -212,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ms", type=_list_arg(_pos_int_arg), required=True)
     p.add_argument("--reps", type=_pos_int_arg, default=20)
     p.add_argument("--seed", type=_seed_arg, default=0)
-    p.add_argument("--pairs-cap", type=_pos_int_arg, default=1000)
     p.add_argument("--block-distance", type=_int_from_2_arg, default=2,
                    help="circular block distance probed for non-adjacent pairs")
     p.add_argument("--workers", type=_pos_int_arg, default=None)
@@ -329,8 +328,7 @@ def cmd_blocks(args) -> int:
     for n_adj, ms in sorted(groups.items()):
         params = ModelParams(n=n_adj, c=args.c, kernel=kernel, seed=args.seed)
         stats = experiments.block_connectivity(
-            params, tuple(ms), replicates=args.reps, pairs_cap=args.pairs_cap,
-            nonadjacent_distance=args.block_distance, workers=args.workers,
+            params, tuple(ms), args.reps, args.block_distance, workers=args.workers
         )
         rows.extend({"n": n_adj, **asdict(st)} for st in stats)
     rows.sort(key=lambda r: r["m"])

@@ -32,7 +32,7 @@ import numpy as np
 from .branching import rho_limit
 from .components import _label_edges, omega_for
 from .model import Kernel, ModelParams, kernel_alpha, kernel_for_alpha
-from .sampler import Graph, _draw_filtration, _fast_batches, _model_key, keyed_stream
+from .sampler import Graph, _draw_filtration, _fast_batches
 from .sampler import sample_fast, write_rows_csv
 
 __all__ = [
@@ -396,7 +396,11 @@ def triangle_replicates(params: ModelParams, replicates: int) -> list[TriangleSt
 
 @dataclass(frozen=True)
 class BlockStats:
-    """Block-to-block connectivity estimates at one block size m."""
+    """Block-to-block connectivity estimates at one block size m.
+
+    ``samples`` is the number of ring positions counted, n_blocks per
+    replicate; both frequencies are hits over it.
+    """
 
     m: int
     n_blocks: int
@@ -416,9 +420,9 @@ def _block_pair_mask(bu: np.ndarray, bv: np.ndarray, dist: int, nb: int) -> np.n
 
 
 def _block_run(
-    params: ModelParams, ms: tuple[int, ...], pairs_cap: int, nonadj_dist: int, start: int, stop: int
-) -> list[list[tuple[int, int, int, int]]]:
-    """Per replicate, per m: (adjacent hits, nb, non-adjacent hits, sampled pairs)."""
+    params: ModelParams, ms: tuple[int, ...], nonadj_dist: int, start: int, stop: int
+) -> list[list[tuple[int, int]]]:
+    """Per replicate, per m: (adjacent hits, non-adjacent hits) over all n/m ring positions."""
     n = params.n
     out = []
     for rep in range(start, stop):
@@ -428,16 +432,9 @@ def _block_run(
             nb = n // m
             bu = u // m
             bv = v // m
-            # All nb ring-adjacent block pairs, and those at the probed distance.
             adj_hits = int(_block_pair_mask(bu, bv, 1, nb).sum())
-            non_present = _block_pair_mask(bu, bv, nonadj_dist, nb)
-            if nb <= pairs_cap:
-                sampled = np.arange(nb)
-            else:
-                srng = keyed_stream(_model_key(params, "blocks:pairs", rep, m))
-                sampled = srng.choice(nb, size=pairs_cap, replace=False)
-            non_hits = int(non_present[sampled].sum())
-            per_m.append((adj_hits, nb, non_hits, sampled.size))
+            non_hits = int(_block_pair_mask(bu, bv, nonadj_dist, nb).sum())
+            per_m.append((adj_hits, non_hits))
         out.append(per_m)
     return out
 
@@ -462,7 +459,6 @@ def block_connectivity(
     params: ModelParams,
     ms: tuple[int, ...],
     replicates: int,
-    pairs_cap: int = 1000,
     nonadjacent_distance: int = 2,
     workers: int | None = None,
 ) -> list[BlockStats]:
@@ -470,30 +466,28 @@ def block_connectivity(
 
     Partitions the ring into n/m contiguous blocks and estimates, across
     replicates, the probability that two blocks are joined by at least one
-    edge: for the nb ring-adjacent pairs exhaustively, and for pairs at
-    circular block distance ``nonadjacent_distance`` (the nearest
-    non-adjacent class, where block-to-block connectivity is strongest)
-    over up to ``pairs_cap`` sampled ring positions.
+    edge, for the pairs at circular block distance 1 (adjacent) and at
+    ``nonadjacent_distance`` (the nearest non-adjacent class, where
+    block-to-block connectivity is strongest).  Both are counted at every
+    one of the n/m ring positions of every replicate.
 
     Each replicate graph is sampled once and analyzed at every m.
     """
     n = params.n
     for m in ms:
         check_blocks(n, m, nonadjacent_distance)
-    if pairs_cap < 1:
-        raise ValueError(f"need pairs_cap >= 1, got {pairs_cap}")
-    cell = (params, tuple(ms), pairs_cap, nonadjacent_distance)
+    cell = (params, tuple(ms), nonadjacent_distance)
     counts = np.sum(_run_one(_block_run, cell, replicates, workers), axis=0)
     return [
         BlockStats(
             m=m,
             n_blocks=n // m,
-            adjacent_connect_freq=adj_hits / adj_total,
-            nonadjacent_connect_freq=non_hits / non_total,
-            samples=non_total,
+            adjacent_connect_freq=adj_hits / (n // m * replicates),
+            nonadjacent_connect_freq=non_hits / (n // m * replicates),
+            samples=n // m * replicates,
             replicates=replicates,
         )
-        for m, (adj_hits, adj_total, non_hits, non_total) in zip(ms, counts.tolist())
+        for m, (adj_hits, non_hits) in zip(ms, counts.tolist())
     ]
 
 

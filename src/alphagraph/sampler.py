@@ -66,15 +66,14 @@ class Graph:
     __slots__ = ("n", "edges", "_adj")
 
     def __init__(self, n: int, edges: np.ndarray, _validated: bool = False):
-        given = edges
-        edges = np.ascontiguousarray(edges, dtype=np.int64).reshape(-1, 2)
+        rows = _vertex_rows(edges, _validated)
         if not _validated:
-            if _canonical_fault(n, edges):
-                edges = canonical_edges(n, edges[:, 0], edges[:, 1])
-                if fault := _canonical_fault(n, edges):
+            if _canonical_fault(n, rows):
+                rows = canonical_edges(n, rows[:, 0], rows[:, 1])
+                if fault := _canonical_fault(n, rows):
                     raise ValueError(fault)
         self.n = int(n)
-        self.edges = _frozen(edges, None if _validated else given)
+        self.edges = _frozen(rows, None if _validated else edges)
         self._adj = None
 
     @property
@@ -104,6 +103,19 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.num_edges})"
+
+
+def _vertex_rows(edges, validated: bool) -> np.ndarray:
+    """``edges`` as C-contiguous int64 rows (u, v).  Unless ``validated``, an
+    endpoint that the cast changes (1.7 to 1, NaN to any integer) raises."""
+    if validated:
+        return np.ascontiguousarray(edges, dtype=np.int64).reshape(-1, 2)
+    given = np.asarray(edges)
+    with np.errstate(invalid="ignore"):
+        rows = np.ascontiguousarray(given, dtype=np.int64).reshape(-1, 2)
+    if given.dtype.kind not in "biu" and not np.array_equal(rows.ravel(), given.ravel()):
+        raise ValueError("could not convert a vertex id to an integer")
+    return rows
 
 
 def _frozen(array: np.ndarray, given) -> np.ndarray:
@@ -196,7 +208,7 @@ class Filtration:
         activation: np.ndarray,
         _validated: bool = False,
     ):
-        rows = np.ascontiguousarray(edges, dtype=np.int64).reshape(-1, 2)
+        rows = _vertex_rows(edges, _validated)
         levels = np.ascontiguousarray(activation, dtype=np.float64)
         if not _validated:
             if not (math.isfinite(c_max) and c_max > 0):
@@ -437,19 +449,15 @@ def _decode_batch(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-def _model_key(params: ModelParams, tag: str, *parts) -> tuple:
-    """Key of the stream ``tag`` of the params law: (seed, tag, kernel spec,
-    n, c, *parts).  Every model stream of the package is keyed here."""
-    return stream_key(params.seed, tag, params.kernel.spec_string(), params.n, float(params.c), *parts)
-
-
-def _fast_key(params: ModelParams, replicate):
-    """Key of the stream that sample_fast draws replicate ``replicate`` from.
+def _model_key(params: ModelParams, tag: str, replicate) -> tuple:
+    """Key of the stream ``tag`` of the params law for replicate ``replicate``:
+    (seed, tag, kernel spec, n, c, replicate).  Every model stream of the
+    package is keyed here.
 
     An integer array of replicates gives two arrays of key words (see
     ``stream_key``).
     """
-    return _model_key(params, "sample:fast", replicate)
+    return stream_key(params.seed, tag, params.kernel.spec_string(), params.n, float(params.c), replicate)
 
 
 def _fast_batches(params: ModelParams, start: int, stop: int, batch: int):
@@ -465,7 +473,7 @@ def _fast_batches(params: ModelParams, start: int, stop: int, batch: int):
     """
     n = params.n
     tables = _class_tables(n, params.c, params.kernel)
-    k0, k1 = _fast_key(params, np.arange(start, stop))
+    k0, k1 = _model_key(params, "sample:fast", np.arange(start, stop))
     keys = list(zip(k0.tolist(), k1.tolist()))
     rngs: list[np.random.Generator] = []
     for s in range(0, len(keys), batch):
@@ -481,7 +489,7 @@ def sample_fast(params: ModelParams, replicate: int = 0) -> Graph:
     """Distance-class sampler; same law as sample_naive, O(n + |E|) work."""
     n = params.n
     tables = _class_tables(n, params.c, params.kernel)
-    idx = _sample_indices([keyed_stream(_fast_key(params, replicate))], tables)
+    idx = _sample_indices([keyed_stream(_model_key(params, "sample:fast", replicate))], tables)
     _, u, v = _decode_indices(n, idx)
     return Graph(n, canonical_edges(n, u, v), _validated=True)
 
@@ -699,13 +707,19 @@ def _parse_header(line: str) -> dict:
     missing = [key for key in ("n", "alpha", "c", "seed") if key not in fields]
     if missing:
         raise ValueError(f"header lacks {', '.join(missing)} (header {line!r})")
-    c = float(fields["c"])
+    values = {}
+    for key, kind in (("n", int), ("c", float), ("seed", int)):
+        try:
+            values[key] = kind(fields[key])
+        except ValueError:
+            raise ValueError(f"header needs {kind.__name__} {key}, got {key}={fields[key]} "
+                             f"(header {line!r})") from None
+    n, c, seed = values["n"], values["c"], values["seed"]
     if not (math.isfinite(c) and c >= 0):
         raise ValueError(f"header needs finite c >= 0, got c={fields['c']} (header {line!r})")
-    seed = int(fields["seed"])
     if not 0 <= seed < 2**64:
         raise ValueError(f"header seed={fields['seed']} lies outside [0, 2^64) (header {line!r})")
-    return {"n": int(fields["n"]), "alpha": fields["alpha"], "c": c, "seed": seed}
+    return {"n": n, "alpha": fields["alpha"], "c": c, "seed": seed}
 
 
 def read_edge_list(path: str | Path) -> tuple[Graph, dict]:
@@ -772,11 +786,5 @@ def write_filtration(path: str | Path, filtration: Filtration, seed: int) -> Non
 def read_filtration(path: str | Path) -> tuple[Filtration, dict]:
     """Read a filtration file; returns (filtration, header fields)."""
     header, data = _read_file(path, np.float64, 3)
-    ids = data[:, :2]
-    if not (np.isfinite(ids) & (np.trunc(ids) == ids)).all():
-        raise ValueError("could not convert a vertex id to an integer")
-    edges = ids.astype(np.int64)
-    act = data[:, 2]
     kernel = kernel_from_alpha_field(header["alpha"])
-    filt = Filtration(header["n"], header["c"], kernel, edges, act)
-    return filt, header
+    return Filtration(header["n"], header["c"], kernel, data[:, :2], data[:, 2]), header

@@ -9,10 +9,9 @@ and worker count: replicate 17 of a given model draws the same numbers
 whether it runs first, last, or on another process.
 
 SeedSequence mixes its entropy words in order: the master seed, zero-padded
-to the 4-word pool, then two words per key part.  The last part is the
-replicate index, except in ``blocks:pairs``, whose key ends with the block
-size m after it.  The mixer state after every earlier word is therefore
-shared by the streams that differ in the last part only, such as the
+to the 4-word pool, then two words per key part.  The last part of a model
+stream's key is the replicate index, so the mixer state after every earlier
+word is shared by the streams that differ in the last part only: the
 replicates of a model.  numpy's own SeedSequence computes that state once
 per prefix, kept in a bounded ``lru_cache``; numpy cannot resume a pool,
 so per call ``stream_key`` absorbs only the last part's two words and runs

@@ -281,6 +281,12 @@ class TestComponentsCommand:
             ("# alphagraph v1 n=5 alpha=1.0 c=2.0 seed=-1", "seed=-1 lies outside [0, 2^64) "),
             ("# alphagraph v1 n=5 alpha=1.0 c=2.0 seed=18446744073709551616",
              "seed=18446744073709551616 lies outside [0, 2^64) "),
+            ("# alphagraph v1 n=5.5 alpha=1.0 c=2.0 seed=1",
+             "header needs int n, got n=5.5 (header '# alphagraph v1 n=5.5 "),
+            ("# alphagraph v1 n=5 alpha=1.0 c=abc seed=1",
+             "header needs float c, got c=abc (header '# alphagraph v1 n=5 alpha=1.0 c=abc "),
+            ("# alphagraph v1 n=5 alpha=1.0 c=2.0 seed=x",
+             "header needs int seed, got seed=x (header '# alphagraph v1 n=5 "),
         ],
     )
     def test_bad_header_exits_1(self, tmp_path, capsys, header, message):
@@ -776,10 +782,9 @@ class TestErrorPaths:
             ["sprinkle", "--n", "100", "--alpha", "1", "--cprime", "1.5", "--delta", "0.5",
              "--reps", "0"],
             ["blocks", "--n", "256", "--alpha", "3", "--c", "1", "--ms", "16", "--reps", "0"],
-            # block sizes and pair caps take the same check
+            # block sizes take the same check
             ["blocks", "--n", "100", "--alpha", "1", "--c", "1", "--ms", "0"],
             ["blocks", "--n", "256", "--alpha", "1", "--c", "1", "--ms", "16,-4"],
-            ["blocks", "--n", "256", "--alpha", "1", "--c", "1", "--ms", "16", "--pairs-cap", "0"],
         ],
     )
     def test_nonpositive_reps_exit_2(self, tmp_path, capsys, argv):

@@ -40,8 +40,9 @@ CASES = {
                "--reps", "4", "--seed", "3", "--out", "p.csv"], True, [], [], None),
     "blocks": (["blocks", "--n", "1024", "--alpha", "3", "--c", "0.9", "--ms", "16,32", "--reps",
                 "4", "--out", "b.csv"], True, [], [], None),
-    "blocks-pairs-cap": (["blocks", "--n", "1024", "--alpha", "3", "--c", "0.9", "--ms", "16,32",
-                          "--reps", "4", "--pairs-cap", "10", "--out", "b.csv"], True, [], [], None),
+    # more than 1000 blocks: 2048 and 1024 ring positions per replicate
+    "blocks-many": (["blocks", "--n", "4096", "--alpha", "3", "--c", "0.9", "--ms", "2,4",
+                     "--reps", "4", "--out", "b.csv"], True, [], [], None),
     "blocks-distance": (["blocks", "--n", "1024", "--alpha", "3", "--c", "0.9", "--ms", "16,32",
                          "--reps", "4", "--block-distance", "3", "--out", "b.csv"], True, [], [],
                         None),
@@ -69,12 +70,12 @@ DIGESTS = {
     "sweep-w2": "601be6f7f8952d74b81f7b350b379b41",
     "probe-w1": "2e3f641cf58ec1a130ccbbdf419e6665",
     "probe-w2": "9a6ea534d4eca3d1ec5ff6bc2a64bf0d",
-    "blocks-w1": "c85721a27be4ca645d88abea67bf77e2",
-    "blocks-w2": "d9eb2b7b77be9e73620cfb75b37c398c",
-    "blocks-pairs-cap-w1": "256f7587c5138ebc2b571fa26cfa0255",
-    "blocks-pairs-cap-w2": "72ce8b3fd4746f59832caf9c4df824ff",
-    "blocks-distance-w1": "8f7fb5c3f9230d96c011806f54b749db",
-    "blocks-distance-w2": "9f3c35af8df2e0c7e3af355a972edfce",
+    "blocks-w1": "4e2c8b8ea4d51c8cce28202dc0e91e23",
+    "blocks-w2": "f383dd59bfbfe3e57b29baf80105450b",
+    "blocks-many-w1": "da9f70a42a88fb06e89198ae23030c35",
+    "blocks-many-w2": "41494338e1d2493dd2d95d0e7352f7aa",
+    "blocks-distance-w1": "65c6ade5a146a48b3c9c1b1237818095",
+    "blocks-distance-w2": "47d21497744b1a138f66304a28e99555",
     "triangles": "11b5bab26e1fa9c817298243c77c9274",
     "sprinkle-w1": "6d1b639fdf56247953232f752eedd95d",
     "sprinkle-w2": "48d76128e893606b78a5d77495408f3c",

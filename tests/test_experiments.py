@@ -367,8 +367,6 @@ class TestBlocks:
             block_connectivity(params, (10,), 2, nonadjacent_distance=51)
         with pytest.raises(ValueError, match="half"):
             block_connectivity(params, (10, 250), 2, nonadjacent_distance=3)  # 4 blocks
-        with pytest.raises(ValueError, match="pairs_cap"):
-            block_connectivity(params, (10,), 2, pairs_cap=0)
         (st,) = block_connectivity(params, (10,), 1, nonadjacent_distance=50)
         assert st.samples == 100
 
@@ -394,6 +392,31 @@ class TestBlocks:
         (single32,) = block_connectivity(params, (32,), replicates=5)
         assert multi[0] == single16
         assert multi[1] == single32
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.5, 3.0])
+    @pytest.mark.parametrize(
+        "n, ms, dist",
+        [(1024, (16, 256), 2), (8192, (4, 64, 2048), 2), (20006, (2, 7, 1429), 3)],
+    )
+    def test_matches_brute_force_count(self, n, ms, dist, alpha):
+        # An independent count: per replicate graph, the set of block pairs it
+        # joins, and per ring position i, whether (i, i+1) and (i, i+dist)
+        # are among them.  The grid has nb from 4 (n=1024, m=256) to 10003.
+        params = ModelParams.make(n, alpha, 1.5, seed=6)
+        reps = 3
+        stats = block_connectivity(params, ms, reps, nonadjacent_distance=dist, workers=1)
+        for m, st in zip(ms, stats):
+            nb = n // m
+            adj = non = 0
+            for rep in range(reps):
+                edges = sample_fast(params, rep).edges.tolist()
+                joined = {frozenset((u // m, v // m)) for u, v in edges}
+                adj += sum(frozenset((i, (i + 1) % nb)) in joined for i in range(nb))
+                non += sum(frozenset((i, (i + dist) % nb)) in joined for i in range(nb))
+            assert (st.m, st.n_blocks, st.replicates) == (m, nb, reps)
+            assert st.adjacent_connect_freq == adj / (nb * reps)
+            assert st.nonadjacent_connect_freq == non / (nb * reps)
+            assert st.samples == nb * reps
 
     def test_nonadjacent_freq_falls_with_m(self):
         params = ModelParams.make(2**14, 3.0, 0.9, seed=5)

@@ -45,7 +45,7 @@ CALLS = {
     "integers_half_n": lambda rng: rng.integers(0, N // 2, size=1000),
     # a dense class: more than half its pairs, as np.int64 scalars
     "choice_dense": lambda rng: rng.choice(np.int64(4099), size=np.int64(3000), replace=False),
-    # blocks' sampled block pairs: a few of many
+    # a few of many: choice's sparse path, which the dense case does not reach
     "choice_sparse": lambda rng: rng.choice(100_000, size=1000, replace=False),
     "random": lambda rng: rng.random(1000),
 }

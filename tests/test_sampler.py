@@ -129,6 +129,19 @@ class TestGraphType:
         with pytest.raises(ValueError, match=message):
             Graph(n, np.array(rows).reshape(-1, 2))
 
+    @pytest.mark.parametrize("rows", [[[0.5, 1.7]], [[0, 1], [2, 3.5]], [[math.nan, 1]],
+                                      [[0, math.inf]], [[0, 2.0**63]]])
+    def test_rejects_non_integral_endpoints(self, rows):
+        # int64 would truncate 0.5-1.7 into the edge 0-1, and NaN into any id
+        with pytest.raises(ValueError, match="could not convert a vertex id"):
+            Graph(5, np.array(rows))
+        with pytest.raises(ValueError, match="could not convert a vertex id"):
+            Graph(5, rows)
+
+    def test_accepts_integral_floats(self):
+        assert Graph(5, np.array([[3.0, 2.0], [0.0, 1.0]])).edges.tolist() == [[0, 1], [2, 3]]
+        assert Graph(5, np.empty((0, 2))).num_edges == 0
+
     def test_adjacency_sorted_and_consistent(self):
         g = Graph(5, np.array([[0, 3], [1, 3], [2, 4], [0, 1]]))
         indptr, nbrs = g.adjacency()
@@ -380,6 +393,13 @@ class TestFiltration:
             Filtration(4, 1.0, PowerLawKernel(1.0), np.array([[0, 1]]), np.array([1.5]))
         with pytest.raises(ValueError):
             Filtration(4, 1.0, PowerLawKernel(1.0), np.array([[0, 1]]), np.array([0.5, 0.6]))
+
+    @pytest.mark.parametrize("rows", [[[0.5, 1.0]], [[0, 1.7]], [[0, math.nan]]])
+    def test_rejects_non_integral_endpoints(self, rows):
+        with pytest.raises(ValueError, match="could not convert a vertex id"):
+            Filtration(4, 1.0, PowerLawKernel(1.0), np.array(rows), np.array([0.5]))
+        f = Filtration(4, 1.0, PowerLawKernel(1.0), np.array([[0.0, 1.0]]), np.array([0.5]))
+        assert f.edges.tolist() == [[0, 1]] and f.edges.dtype == np.int64
 
     def test_does_not_alias_the_callers_arrays(self):
         edges = np.array([[0, 1], [1, 2]], dtype=np.int64)

@@ -16,7 +16,7 @@ from alphagraph.sampler import (
     _class_tables,
     _decode_batch,
     _decode_indices,
-    _fast_key,
+    _model_key,
     _sample_indices,
 )
 from alphagraph.streams import keyed_stream
@@ -24,7 +24,7 @@ from alphagraph.streams import keyed_stream
 
 def fast_stream(params: ModelParams, rep: int) -> np.random.Generator:
     """The generator that sample_fast draws replicate rep from."""
-    return keyed_stream(_fast_key(params, rep))
+    return keyed_stream(_model_key(params, "sample:fast", rep))
 
 
 def offsets_of(m_pairs: np.ndarray) -> np.ndarray:

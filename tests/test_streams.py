@@ -10,14 +10,14 @@ import numpy as np
 import pytest
 
 from alphagraph.model import ModelParams, PowerLawKernel
-from alphagraph.sampler import _class_tables, _fast_key, _sample_indices
+from alphagraph.sampler import _class_tables, _model_key, _sample_indices
 from alphagraph.streams import key_words, keyed_stream, rekey, stream, stream_key
 
 SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 + 7, 2**128, 2**128 + 2**70 + 3)
 REPLICATES = (0, 1, 17, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1)
 SPEC = PowerLawKernel(1.0).spec_string()
-# The key shapes of every stream in src/: tag, kernel spec, n, c, replicate
-# (and blocks:pairs' last part m, after the replicate).
+# The key shapes of every stream in src/: tag, kernel spec, n, c, replicate;
+# and one with a part after the replicate, which stream_key takes as well.
 PREFIXES = (
     ("sample:fast", SPEC, 64, 2.0),
     ("sample:naive", SPEC, 1024, 0.5),
@@ -142,9 +142,9 @@ def test_batch_rekeyed_generator_draws_like_a_fresh_fast_stream():
     # the sweep draws every replicate of a batch from one re-keyed generator
     params = ModelParams(n=1024, c=2.0, kernel=PowerLawKernel(1.0), seed=2**40 + 11)
     tables = _class_tables(params.n, params.c, params.kernel)
-    rng = keyed_stream(_fast_key(params, 0))
+    rng = keyed_stream(_model_key(params, "sample:fast", 0))
     for rep in (0, 1, 2, 2**32 + 1):
-        rekey(rng, _fast_key(params, rep))
+        rekey(rng, _model_key(params, "sample:fast", rep))
         got = _sample_indices([rng], tables)
-        want = _sample_indices([keyed_stream(_fast_key(params, rep))], tables)
+        want = _sample_indices([keyed_stream(_model_key(params, "sample:fast", rep))], tables)
         np.testing.assert_array_equal(got, want)
