@@ -83,9 +83,8 @@ __version__ = "0.1.0"
 # The experiment drivers load on first use (PEP 562), so that commands that
 # run none of them never import alphagraph.experiments.
 _EXPERIMENT_NAMES = {
-    "BlockStats", "SprinklingResult", "SweepResult", "SweepSpec", "TriangleStats",
-    "block_connectivity", "conjecture_probe", "run_sweep", "sprinkling_experiment",
-    "triangle_stats",
+    "BlockStats", "SweepSpec", "TriangleStats", "block_connectivity", "conjecture_probe",
+    "run_sweep", "sprinkling_experiment", "triangle_stats",
 }
 
 

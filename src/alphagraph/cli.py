@@ -117,13 +117,23 @@ def _kernel_from_args(args) -> Kernel:
     return parse_kernel(args.kernel) if args.kernel else kernel_for_alpha(args.alpha)
 
 
+def _echo_value(value):
+    """A parsed flag as strict JSON takes it: an infinite --alpha as "inf",
+    the text the flag accepts, and a list flag's tuple entry by entry."""
+    if isinstance(value, tuple):
+        return [_echo_value(v) for v in value]
+    if value == math.inf:
+        return "inf"
+    return value
+
+
 def _config_echo(args) -> dict:
-    return {k: v for k, v in vars(args).items() if k != "func"}
+    return {k: _echo_value(v) for k, v in vars(args).items() if k != "func"}
 
 
-def _sidecar(args, **payload) -> None:
-    """<out>.json: payload (sweep and probe pass their spec), then the config."""
-    text = json.dumps({**payload, "config": _config_echo(args)}, indent=2, default=str) + "\n"
+def _sidecar(args) -> None:
+    """<out>.json: {"config": the parsed argv}, strict JSON."""
+    text = json.dumps({"config": _config_echo(args)}, indent=2, allow_nan=False) + "\n"
     sampler.atomic_write(f"{args.out}.json", lambda fh: fh.write(text))
 
 
@@ -308,10 +318,10 @@ def cmd_sweep(args) -> int:
         omega_rule=args.omega_rule,
         master_seed=args.seed,
     )
-    result = experiments.run_sweep(spec, workers=args.workers)
-    experiments.write_sweep_csv(args.out, result)
-    _sidecar(args, spec=result.spec)
-    print(f"sweep: {len(result.cells)} cells x {args.reps} replicates -> {args.out}")
+    cells = experiments.run_sweep(spec, workers=args.workers)
+    experiments.write_sweep_csv(args.out, cells)
+    _sidecar(args)
+    print(f"sweep: {len(cells)} cells x {args.reps} replicates -> {args.out}")
     return 0
 
 
@@ -352,16 +362,18 @@ def cmd_triangles(args) -> int:
 
 def cmd_sprinkle(args) -> int:
     from . import experiments
-    result = experiments.sprinkling_experiment(
+    records = experiments.sprinkling_experiment(
         n=args.n, kernel=_kernel_from_args(args), c_prime=args.cprime, delta=args.delta,
         omega=omega_for(args.omega, args.n), replicates=args.reps, master_seed=args.seed,
         workers=args.workers,
     )
-    rows = [asdict(r) for r in result.records]
+    rows = [asdict(r) for r in records]
     sampler.write_rows_csv(args.out, list(rows[0]), rows)
     _sidecar(args)
+    merged = sum(r.merged for r in records) / len(records)
+    nesting = sum(r.nested_ok for r in records) / len(records)
     print(
-        f"sprinkle: merged {result.merged_fraction:.0%}, nesting {result.nesting_fraction:.0%} "
+        f"sprinkle: merged {merged:.0%}, nesting {nesting:.0%} "
         f"over {args.reps} replicates -> {args.out}"
     )
     return 0
@@ -369,7 +381,7 @@ def cmd_sprinkle(args) -> int:
 
 def cmd_probe(args) -> int:
     from . import experiments
-    result = experiments.conjecture_probe(
+    cells = experiments.conjecture_probe(
         _kernel_from_args(args),
         ns=args.ns,
         cs=args.cs,
@@ -378,9 +390,9 @@ def cmd_probe(args) -> int:
         omega_rule=args.omega_rule,
         workers=args.workers,
     )
-    experiments.write_sweep_csv(args.out, result)
-    _sidecar(args, spec=result.spec)
-    print(f"probe: {len(result.cells)} cells -> {args.out}")
+    experiments.write_sweep_csv(args.out, cells)
+    _sidecar(args)
+    print(f"probe: {len(cells)} cells -> {args.out}")
     return 0
 
 

@@ -16,15 +16,17 @@ order, becomes the cell's error, written "replicates [start, stop): Type:
 message".  The grid drivers (run_sweep, conjecture_probe) record it in the
 failing cell and go on; the single-parameter drivers (block_connectivity,
 sprinkling_experiment, triangle_replicates) raise it as a RuntimeError.
-Files are written by sampler; write_sweep_csv only lays a grid result out
-as CSV rows.
+Every driver returns its rows as a plain list of records: one CellResult
+per grid cell, one BlockStats per block size, one TriangleStats or
+SprinkleRecord per replicate.  Files are written by sampler;
+write_sweep_csv only lays grid cells out as CSV rows.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +40,6 @@ from .sampler import sample_fast, write_rows_csv
 __all__ = [
     "SweepSpec",
     "CellResult",
-    "SweepResult",
     "run_sweep",
     "conjecture_probe",
     "TriangleStats",
@@ -47,7 +48,6 @@ __all__ = [
     "BlockStats",
     "block_connectivity",
     "SprinkleRecord",
-    "SprinklingResult",
     "sprinkling_experiment",
     "write_sweep_csv",
 ]
@@ -161,12 +161,6 @@ class CellResult:
     error: str | None = None
 
 
-@dataclass
-class SweepResult:
-    spec: dict
-    cells: list[CellResult] = field(default_factory=list)
-
-
 # Vertices labelled in one pass (one replicate if n is larger).  It bounds
 # the memory of a pass and keeps its arrays cache-sized: on a 2-core Xeon
 # with 2 MiB of L2 per core, the decode-and-label work per replicate at
@@ -254,18 +248,16 @@ def _run_cells(
     return results
 
 
-def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
+def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[CellResult]:
     """Sample every (alpha, c, n) cell and summarize largest components.
 
     Cells supercritical by the branching prediction carry the Poisson
     survival probability rho(c) for alpha <= 1.
     """
     kernels = [kernel_for_alpha(alpha) for alpha in spec.alphas]
-    results = _run_cells(
+    return _run_cells(
         kernels, spec.cs, spec.ns, spec.replicates, spec.omega_rule, spec.master_seed, workers
     )
-    echo = asdict(spec)
-    return SweepResult(spec=echo, cells=results)
 
 
 def conjecture_probe(
@@ -276,7 +268,7 @@ def conjecture_probe(
     master_seed: int = 0,
     omega_rule: str = "log4",
     workers: int | None = None,
-) -> SweepResult:
+) -> list[CellResult]:
     """Sweep one explicit kernel over (c, n) to expose fraction trends.
 
     The Poisson survival probability rho(c) is attached to every cell as the
@@ -286,24 +278,15 @@ def conjecture_probe(
     """
     if not (cs and ns):
         raise ValueError("cs and ns must be non-empty")
-    results = _run_cells(
+    return _run_cells(
         [kernel], cs, ns, replicates, omega_rule, master_seed, workers, predict="always"
     )
-    echo = dict(
-        kernel=kernel.spec_string(),
-        cs=list(cs),
-        ns=list(ns),
-        replicates=replicates,
-        omega_rule=omega_rule,
-        master_seed=master_seed,
-    )
-    return SweepResult(spec=echo, cells=results)
 
 
-def write_sweep_csv(path: str | Path, result: SweepResult) -> None:
+def write_sweep_csv(path: str | Path, cells: list[CellResult]) -> None:
     """One row per grid cell, columns named after the CellResult fields."""
     fields = list(CellResult.__dataclass_fields__)
-    rows = [asdict(cell) for cell in result.cells]
+    rows = [asdict(cell) for cell in cells]
     write_rows_csv(path, fields, rows)
 
 
@@ -506,24 +489,6 @@ class SprinkleRecord:
     nested_ok: bool
 
 
-@dataclass
-class SprinklingResult:
-    n: int
-    kernel: str
-    c_prime: float
-    delta: float
-    omega: int
-    records: list[SprinkleRecord]
-
-    @property
-    def merged_fraction(self) -> float:
-        return sum(r.merged for r in self.records) / len(self.records)
-
-    @property
-    def nesting_fraction(self) -> float:
-        return sum(r.nested_ok for r in self.records) / len(self.records)
-
-
 def _sprinkle_run(
     params: ModelParams, c_prime: float, omega: int, start: int, stop: int
 ) -> list[SprinkleRecord]:
@@ -580,7 +545,7 @@ def sprinkling_experiment(
     replicates: int,
     master_seed: int = 0,
     workers: int | None = None,
-) -> SprinklingResult:
+) -> list[SprinkleRecord]:
     """Two-stage construction: sample at c', then raise the level to c'+delta.
 
     Each replicate draws the edges of one filtration up to c'+delta, those
@@ -604,12 +569,4 @@ def sprinkling_experiment(
     if omega < 1:
         raise ValueError(f"need omega >= 1, got {omega}")
     params = ModelParams(n=n, c=c_prime + delta, kernel=kernel, seed=master_seed)
-    records = _run_one(_sprinkle_run, (params, c_prime, omega), replicates, workers)
-    return SprinklingResult(
-        n=n,
-        kernel=kernel.spec_string(),
-        c_prime=c_prime,
-        delta=delta,
-        omega=omega,
-        records=records,
-    )
+    return _run_one(_sprinkle_run, (params, c_prime, omega), replicates, workers)

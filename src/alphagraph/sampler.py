@@ -692,7 +692,8 @@ def write_edge_list(path: str | Path, graph: Graph, params: ModelParams) -> None
 def _parse_header(line: str) -> dict:
     """n, alpha (as written), c and seed of a v1 header line.
 
-    Each key appears once, c is finite and >= 0, and seed lies in [0, 2^64).
+    Each key appears once, n and seed are ASCII integers, c is an ASCII
+    float, finite and >= 0, and seed lies in [0, 2^64).
     """
     if not line.startswith(_HEADER_MAGIC):
         raise ValueError(f"not an alphagraph v1 file (header {line!r})")
@@ -709,8 +710,14 @@ def _parse_header(line: str) -> dict:
         raise ValueError(f"header lacks {', '.join(missing)} (header {line!r})")
     values = {}
     for key, kind in (("n", int), ("c", float), ("seed", int)):
+        text = fields[key]
         try:
-            values[key] = kind(fields[key])
+            # int() and float() also read "_" separators and non-ASCII digits,
+            # which the writer never writes; on the rest, int() takes only
+            # [+-]?[0-9]+ (a token holds no whitespace).
+            if not text.isascii() or "_" in text:
+                raise ValueError
+            values[key] = kind(text)
         except ValueError:
             raise ValueError(f"header needs {kind.__name__} {key}, got {key}={fields[key]} "
                              f"(header {line!r})") from None

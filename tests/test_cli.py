@@ -75,8 +75,6 @@ print(json.dumps({{"writes": writes, "after": os.environ.get("OPENBLAS_NUM_THREA
 # The package names that load alphagraph.experiments on first use.
 EXPERIMENT_NAMES = (
     "BlockStats",
-    "SprinklingResult",
-    "SweepResult",
     "SweepSpec",
     "TriangleStats",
     "block_connectivity",
@@ -287,6 +285,15 @@ class TestComponentsCommand:
              "header needs float c, got c=abc (header '# alphagraph v1 n=5 alpha=1.0 c=abc "),
             ("# alphagraph v1 n=5 alpha=1.0 c=2.0 seed=x",
              "header needs int seed, got seed=x (header '# alphagraph v1 n=5 "),
+            # int() and float() read these; the writer never writes them
+            ("# alphagraph v1 n=1_0 alpha=1.0 c=2.0 seed=1",
+             "header needs int n, got n=1_0 (header '# alphagraph v1 n=1_0 "),
+            ("# alphagraph v1 n=5 alpha=1.0 c=2.0 seed=0_1",
+             "header needs int seed, got seed=0_1 (header '# alphagraph v1 n=5 "),
+            ("# alphagraph v1 n=5 alpha=1.0 c=2_0 seed=1",
+             "header needs float c, got c=2_0 (header '# alphagraph v1 n=5 alpha=1.0 c=2_0 "),
+            ("# alphagraph v1 n=\u0661\u0660 alpha=1.0 c=2.0 seed=1",
+             "header needs int n, got n=\u0661\u0660 (header '# alphagraph v1 n=\u0661\u0660 "),
         ],
     )
     def test_bad_header_exits_1(self, tmp_path, capsys, header, message):
@@ -357,7 +364,7 @@ class TestSweepCommand:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 12
         sidecar = json.loads((tmp_path / "sweep.csv.json").read_text())
-        assert sidecar["spec"]["master_seed"] == 42
+        assert sidecar["config"]["seed"] == 42
         assert sidecar["config"]["command"] == "sweep"
 
     def test_negative_zero_density_writes_zero(self, tmp_path):
@@ -468,15 +475,32 @@ class TestSidecars:
         sidecar = json.loads(text)
         parsed = vars(build_parser().parse_args(argv))
         del parsed["func"]
-        config = {k: list(v) if isinstance(v, tuple) else v for k, v in parsed.items()}
-        assert sidecar["config"] == config
-        if argv[0] in ("sweep", "probe"):
-            assert list(sidecar) == ["spec", "config"]
-            keys = ("cs", "ns", "replicates", "omega_rule", "master_seed")
-            flags = ("cs", "ns", "reps", "omega_rule", "seed")
-            assert [sidecar["spec"][k] for k in keys] == [config[f] for f in flags]
-        else:
-            assert list(sidecar) == ["config"]
+
+        def echo(value):  # a list flag as a list, inf as the text --alpha accepts
+            if isinstance(value, tuple):
+                return [echo(v) for v in value]
+            return "inf" if value == math.inf else value
+
+        assert sidecar == {"config": {k: echo(v) for k, v in parsed.items()}}
+
+    @pytest.mark.parametrize(
+        "argv, key, echo",
+        [
+            pytest.param(["sample", "--n", "100", "--alpha", "inf", "--c", "1.5"],
+                         "alpha", "inf", id="sample"),
+            pytest.param(["sweep", "--alphas", "0,inf", "--cs", "2", "--ns", "64", "--reps", "2",
+                          "--workers", "1"], "alphas", [0.0, "inf"], id="sweep"),
+        ],
+    )
+    def test_infinite_alpha_is_strict_json(self, tmp_path, argv, key, echo):
+        # RFC 8259 has no Infinity: the sidecar writes the text --alpha accepts
+        assert run([*argv, "--out", str(tmp_path / "out")]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        sidecar = json.loads((tmp_path / "out.json").read_text(), parse_constant=refuse)
+        assert sidecar["config"][key] == echo
 
     def test_outputs_get_the_mode_open_would_give_them(self, tmp_path):
         # an edge list, a CSV and their sidecars: 0o666 less a umask of 022
@@ -897,7 +921,7 @@ class TestErrorPaths:
         code = main(["sweep", "--alphas", "1", "--cs", "2", "--ns", "50", "--reps", "1",
                      "--omega-rule", rule, "--out", str(out)])
         assert code == 0
-        assert json.loads((tmp_path / "s.csv.json").read_text())["spec"]["omega_rule"] == rule
+        assert json.loads((tmp_path / "s.csv.json").read_text())["config"]["omega_rule"] == rule
 
     def test_inf_alpha_still_valid(self, tmp_path):
         out = tmp_path / "s.csv"

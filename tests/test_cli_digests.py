@@ -66,10 +66,10 @@ DIGESTS = {
     "components-out": "f93b51b3cd08550ef195c48821ee5c05",
     "gw-rho-poisson": "a758165497997a4f4ef20fe7a4501c81",
     "gw-rho-finite": "b035f7a5c9c64b1f03bbc8cc923bb99e",
-    "sweep-w1": "2873347ea7a22f77f897c86da67f41b6",
-    "sweep-w2": "601be6f7f8952d74b81f7b350b379b41",
-    "probe-w1": "2e3f641cf58ec1a130ccbbdf419e6665",
-    "probe-w2": "9a6ea534d4eca3d1ec5ff6bc2a64bf0d",
+    "sweep-w1": "a3891de1e6d511d51b917374927ec294",
+    "sweep-w2": "c1ce1cfbd290d21f8252e43631b9a652",
+    "probe-w1": "2005810fbeb8a78daf23f16971988942",
+    "probe-w2": "5b0aac0078affe25c17bf075fed12109",
     "blocks-w1": "4e2c8b8ea4d51c8cce28202dc0e91e23",
     "blocks-w2": "f383dd59bfbfe3e57b29baf80105450b",
     "blocks-many-w1": "da9f70a42a88fb06e89198ae23030c35",

@@ -47,7 +47,7 @@ MASTER = 20260809
 
 def cell_at(result, n: int):
     """The one cell of a one-kernel, one-c result with ring size n."""
-    (hit,) = [c for c in result.cells if c.n == n]
+    (hit,) = [c for c in result if c.n == n]
     return hit
 
 
@@ -55,8 +55,8 @@ class TestRunSweep:
     def test_grid_cardinality_and_fields(self):
         spec = SweepSpec(alphas=(0.0, 1.0), cs=(0.5, 1.0, 2.0), ns=(100, 200), replicates=3)
         result = run_sweep(spec, workers=1)
-        assert len(result.cells) == 12
-        for cell in result.cells:
+        assert len(result) == 12
+        for cell in result:
             assert cell.error is None
             assert 0.0 <= cell.mean_fraction <= 1.0
             assert cell.min_fraction <= cell.mean_fraction <= cell.max_fraction
@@ -65,14 +65,14 @@ class TestRunSweep:
         spec = SweepSpec(alphas=(1.0,), cs=(2.0,), ns=(300, 500), replicates=4, master_seed=5)
         a = run_sweep(spec, workers=1)
         b = run_sweep(spec, workers=2)
-        assert a.cells == b.cells
+        assert a == b
 
     def test_prediction_column(self):
         spec = SweepSpec(
             alphas=(0.0, 0.5, 1.0, 1.5, math.inf), cs=(0.8, 2.0), ns=(64,), replicates=1
         )
         result = run_sweep(spec, workers=1)
-        for cell in result.cells:
+        for cell in result:
             if cell.alpha is not None and cell.alpha <= 1:
                 assert cell.predicted_rho == rho_limit(cell.c)
             else:
@@ -108,7 +108,7 @@ class TestRunSweep:
     def test_omega_column_and_b_fraction(self):
         spec = SweepSpec(alphas=(0.0,), cs=(2.0,), ns=(256,), replicates=2, omega_rule="8")
         result = run_sweep(spec, workers=1)
-        cell = result.cells[0]
+        cell = result[0]
         assert cell.omega == 8
         assert 0.0 <= cell.mean_b_fraction <= 1.0
         assert cell.mean_b_fraction <= 1.0
@@ -161,7 +161,7 @@ class TestReplicateJobs:
         assert many == sprinkling_experiment(200, kernel, 1.5, 0.5, 8, replicates=2, workers=1)
         assert sizes == [2]  # one worker runs serially, with no pool
         spec = SweepSpec(alphas=(1.0,), cs=(2.0,), ns=(16, 32, 64), replicates=2)
-        assert run_sweep(spec, workers=64).cells == run_sweep(spec, workers=1).cells
+        assert run_sweep(spec, workers=64)== run_sweep(spec, workers=1)
         assert sizes == [2, 6]
 
     def test_batches_split_a_job_mid_cell(self, monkeypatch):
@@ -197,7 +197,7 @@ class TestGiantUniqueness:
         spec = SweepSpec(alphas=(0.0, 1.0), cs=(2.0,), ns=(10**6,), replicates=2,
                          master_seed=MASTER)
         result = run_sweep(spec, workers=2)
-        for cell in result.cells:
+        for cell in result:
             assert cell.error is None
             assert cell.mean_second_fraction < 0.01
 
@@ -205,10 +205,10 @@ class TestGiantUniqueness:
 class TestConjectureProbe:
     def test_power_alpha0_matches_sweep_cell_exactly(self):
         spec = SweepSpec(alphas=(0.0,), cs=(2.0,), ns=(500,), replicates=5, master_seed=MASTER)
-        sweep_cell = run_sweep(spec, workers=1).cells[0]
+        sweep_cell = run_sweep(spec, workers=1)[0]
         probe_cell = conjecture_probe(
             PowerLawKernel(0.0), ns=(500,), cs=(2.0,), replicates=5, master_seed=MASTER
-        ).cells[0]
+        )[0]
         assert probe_cell == sweep_cell
 
     @pytest.mark.parametrize("ns, cs", [((), (2.0,)), ((64,), ())])
@@ -429,7 +429,7 @@ class TestSprinkling:
         res = sprinkling_experiment(
             20_000, PowerLawKernel(1.0), 1.5, 0.5, omega=200, replicates=5, master_seed=MASTER
         )
-        for rec in res.records:
+        for rec in res:
             assert rec.nested_ok
             assert rec.fraction_after >= rec.fraction_before
 
@@ -437,7 +437,7 @@ class TestSprinkling:
         res = sprinkling_experiment(
             5000, PowerLawKernel(1.0), 1.5, 0.0, omega=50, replicates=5, master_seed=7
         )
-        for rec in res.records:
+        for rec in res:
             assert rec.fraction_after == rec.fraction_before
             # B is the union of components >= omega at c'; with no new edges it
             # is merged exactly when there is at most one such component
@@ -457,7 +457,7 @@ class TestSprinkling:
         params = ModelParams(n=n, c=c_prime + delta, kernel=kernel, seed=3)
         above = [wide(params, rep)[2].max(initial=0.0) > c_prime + delta for rep in range(reps)]
         assert any(above) and not all(above)
-        assert [not rec.nested_ok for rec in res.records] == above
+        assert [not rec.nested_ok for rec in res] == above
 
     @pytest.mark.parametrize("delta", [0.0, 0.5])
     @pytest.mark.parametrize("spec", ["power:alpha=1", "nn", "powerlog:alpha=1.0,beta=1.0"])
@@ -484,7 +484,7 @@ class TestSprinkling:
             )
         for workers in (1, 2):
             res = sprinkling_experiment(n, kernel, c_prime, delta, omega, reps, seed, workers)
-            assert res.records == expected
+            assert res == expected
 
     def test_validation(self):
         k = PowerLawKernel(1.0)
@@ -506,7 +506,7 @@ class TestOutputFiles:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1
         row = rows[0]
-        assert float(row["mean_fraction"]) == result.cells[0].mean_fraction
+        assert float(row["mean_fraction"]) == result[0].mean_fraction
         assert row["kernel"] == "power:alpha=1.0"
         assert row["predicted_rho"] == format_float(rho_limit(2.0))
 

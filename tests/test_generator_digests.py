@@ -43,10 +43,11 @@ CALLS = {
     "binomial": _binomial,
     "integers_n": lambda rng: rng.integers(0, N, size=1000),
     "integers_half_n": lambda rng: rng.integers(0, N // 2, size=1000),
-    # a dense class: more than half its pairs, as np.int64 scalars
+    # a dense class: more than half its pairs, as np.int64 scalars.  Up to
+    # 10,000 pairs choice runs Floyd's algorithm...
     "choice_dense": lambda rng: rng.choice(np.int64(4099), size=np.int64(3000), replace=False),
-    # a few of many: choice's sparse path, which the dense case does not reach
-    "choice_sparse": lambda rng: rng.choice(100_000, size=1000, replace=False),
+    # ...and above that, for a sample above 1/50 of them, a tail shuffle
+    "choice_shuffle": lambda rng: rng.choice(np.int64(N), size=np.int64(3 * N // 4), replace=False),
     "random": lambda rng: rng.random(1000),
 }
 DIGESTS = {
@@ -54,7 +55,7 @@ DIGESTS = {
     "integers_n": "e4cb39b5d4b066f257713dbaf5f0ba33",
     "integers_half_n": "0a62e8bb7e3a9420138e29d6deecce0e",
     "choice_dense": "60151d61fb3c9668b89e49a783a79471",
-    "choice_sparse": "e65506471df99d469b0e3371e4f3c80a",
+    "choice_shuffle": "29125399b8c6db0bed0858c80f5b34b6",
     "random": "cdda0608cb5e2be6863016eb59852e2b",
 }
 

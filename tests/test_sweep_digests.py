@@ -135,7 +135,7 @@ def test_sweep_cells_equal_per_replicate_reference(workers, batch_budget):
                 predicted = (rho_limit(c) if c > 0 else 0.0) if alpha <= 1 else None
                 expected.append(_reference_cell(kernel_for_alpha(alpha), alpha, c, n,
                                                 ORACLE_REPS, "8", SEED, predicted))
-    assert result.cells == expected
+    assert result == expected
 
 
 @pytest.mark.parametrize("batch_budget", [None, 150], indirect=True)
@@ -150,4 +150,4 @@ def test_probe_cells_equal_per_replicate_reference(workers, batch_budget):
         for c in ORACLE_CS
         for n in ORACLE_NS
     ]
-    assert result.cells == expected
+    assert result == expected
