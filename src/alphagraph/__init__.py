@@ -51,7 +51,6 @@ from .components import (
 from .model import (
     Kernel,
     ModelParams,
-    NearestNeighborKernel,
     PowerLawKernel,
     PowerLogKernel,
     TabulatedKernel,

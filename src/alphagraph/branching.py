@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, NearestNeighborKernel, class_edge_probs, distance_classes
+from .model import ModelParams, class_edge_probs, distance_classes, kernel_alpha
 
 __all__ = [
     "PoissonPGF",
@@ -87,7 +87,7 @@ class DegreePGF:
 def finite_degree_pgf(params: ModelParams) -> DegreePGF:
     """Exact PGF of one vertex's degree under the given model; a law that
     cannot fit in memory is refused by distance_classes before it is built."""
-    if isinstance(params.kernel, NearestNeighborKernel):
+    if kernel_alpha(params.kernel) == math.inf:
         raise ValueError("degree PGF is defined for finite-alpha kernels only")
     _, mu, _ = distance_classes(params.n)
     return DegreePGF(class_edge_probs(params), mu)
@@ -143,6 +143,8 @@ def extinction_bisection(pgf, tol: float = DEFAULT_TOL) -> GWResult:
     iterations = widen
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # adjacent doubles: tol is below their spacing
+            break
         iterations += 1
         if g(mid) > 0.0:
             lo = mid

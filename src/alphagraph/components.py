@@ -27,12 +27,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComponentSummary:
-    """Connected-component sizes of one graph, largest first."""
+    """Connected-component sizes of one graph, largest first.  Equal, like
+    Graph, when n and the sizes are equal; unhashable, like Graph."""
 
     n: int
     sizes: np.ndarray  # sorted descending, sums to n
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, ComponentSummary)
+            and self.n == other.n
+            and np.array_equal(self.sizes, other.sizes)
+        )
 
     @property
     def largest(self) -> int:

@@ -25,7 +25,6 @@ import numpy as np
 __all__ = [
     "PowerLawKernel",
     "PowerLogKernel",
-    "NearestNeighborKernel",
     "TabulatedKernel",
     "Kernel",
     "parse_kernel",
@@ -48,13 +47,18 @@ def _fmt(x: float) -> str:
 
 @dataclass(frozen=True)
 class PowerLawKernel:
-    """f(d) = 1 / d**alpha, the one-parameter power-law family."""
+    """f(d) = 1 / d**alpha for alpha in [0, inf], the one-parameter family.
+
+    alpha = 0 gives Erdos-Renyi graphs; alpha = inf gives f(1) = 1 and f(d) = 0
+    otherwise, bond percolation on the ring (spec "nn"): for n >= 3 the
+    normalizer is 2, so each ring edge is open with probability min(1, c/2).
+    """
 
     alpha: float
 
     def __post_init__(self):
-        if not (self.alpha >= 0 and math.isfinite(self.alpha)):
-            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
+        if not self.alpha >= 0:
+            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         # abs turns -0.0 into 0.0, and no other alpha: equal kernels, one spec
         object.__setattr__(self, "alpha", abs(self.alpha))
 
@@ -62,11 +66,15 @@ class PowerLawKernel:
         return float(d) ** -self.alpha
 
     def values(self, n: int) -> np.ndarray:
+        if self.alpha == math.inf:  # the indicator of d = 1, without d**-inf per class
+            out = np.zeros(n // 2, dtype=np.float64)
+            out[0] = 1.0
+            return out
         d = np.arange(1, n // 2 + 1, dtype=np.float64)
         return d**-self.alpha
 
     def spec_string(self) -> str:
-        return f"power:alpha={_fmt(self.alpha)}"
+        return "nn" if self.alpha == math.inf else f"power:alpha={_fmt(self.alpha)}"
 
 
 @dataclass(frozen=True)
@@ -102,28 +110,6 @@ class PowerLogKernel:
 
 
 @dataclass(frozen=True)
-class NearestNeighborKernel:
-    """f(1) = 1 and f(d) = 0 otherwise: bond percolation on the ring.
-
-    For n >= 3 the normalizer is 2, so each ring edge is open with
-    probability min(1, c/2) and no other edge exists.  This is the alpha=inf
-    member of the power-law family, represented explicitly instead of
-    evaluating 1/d**inf.
-    """
-
-    def f(self, d: int) -> float:
-        return 1.0 if d == 1 else 0.0
-
-    def values(self, n: int) -> np.ndarray:
-        out = np.zeros(n // 2, dtype=np.float64)
-        out[0] = 1.0
-        return out
-
-    def spec_string(self) -> str:
-        return "nn"
-
-
-@dataclass(frozen=True)
 class TabulatedKernel:
     """Kernel given by explicit f(d) values for d = 1, 2, ..., len(values)."""
 
@@ -133,8 +119,8 @@ class TabulatedKernel:
         if len(self.table) == 0:
             raise ValueError("empty kernel table")
         arr = np.asarray(self.table, dtype=np.float64)
-        if not np.all(arr > 0):
-            raise ValueError("kernel values must be positive")
+        if not np.all(np.isfinite(arr) & (arr > 0)):
+            raise ValueError("kernel values must be finite and positive")
         if np.any(np.diff(arr) > 0):
             raise ValueError("kernel values must be non-increasing in d")
 
@@ -166,35 +152,34 @@ class TabulatedKernel:
         return f"custom:{self._digest}"
 
 
-Kernel = PowerLawKernel | PowerLogKernel | NearestNeighborKernel | TabulatedKernel
+Kernel = PowerLawKernel | PowerLogKernel | TabulatedKernel
 
 
 def kernel_for_alpha(alpha: float) -> Kernel:
-    """Power-law kernel for finite alpha; nearest-neighbor for alpha=inf."""
-    if alpha == math.inf:
-        return NearestNeighborKernel()
+    """The alpha member of the power-law family, alpha in [0, inf]."""
     return PowerLawKernel(alpha)
 
 
 def kernel_alpha(kernel: Kernel) -> float | None:
-    """Inverse of kernel_for_alpha: the exponent of a power-law kernel, inf
-    for the nearest-neighbor kernel, None for any other kernel."""
-    if isinstance(kernel, PowerLawKernel):
-        return kernel.alpha
-    if isinstance(kernel, NearestNeighborKernel):
-        return math.inf
-    return None
+    """Inverse of kernel_for_alpha: the exponent of a power-law kernel, None
+    for any other kernel."""
+    return kernel.alpha if isinstance(kernel, PowerLawKernel) else None
 
 
 def load_tabulated_kernel(path: str | Path) -> TabulatedKernel:
-    """Load "d f(d)" pairs, one per line, covering d = 1..D contiguously."""
+    """Load "d f(d)" pairs, one per line, covering d = 1..D contiguously,
+    each d once."""
     entries: dict[int, float] = {}
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+        fields = line.split()
+        if not fields or fields[0].startswith("#"):
             continue
-        dtok, ftok = line.split()
-        entries[int(dtok)] = float(ftok)
+        if len(fields) != 2:
+            raise ValueError(f"{path}:{lineno}: expected two fields 'd f(d)', got {len(fields)}")
+        d = int(fields[0])
+        if d in entries:
+            raise ValueError(f"{path}:{lineno}: distance d={d} appears twice")
+        entries[d] = float(fields[1])
     if not entries:
         raise ValueError(f"no kernel entries in {path}")
     dmax = max(entries)
@@ -206,11 +191,12 @@ def load_tabulated_kernel(path: str | Path) -> TabulatedKernel:
 def parse_kernel(text: str) -> Kernel:
     """Parse the textual kernel form used by the CLI and config files.
 
-    Accepted forms: "power:alpha=1.0", "powerlog:alpha=1.0,beta=1.0", "nn",
-    "custom:<path>".
+    Accepted forms: "power:alpha=1.0", "powerlog:alpha=1.0,beta=1.0", "nn"
+    (the same kernel as "power:alpha=inf"), "custom:<path>".  Each parameter
+    is given once.
     """
     if text == "nn":
-        return NearestNeighborKernel()
+        return PowerLawKernel(math.inf)
     head, sep, rest = text.partition(":")
     if not sep:
         raise ValueError(f"bad kernel spec {text!r}")
@@ -221,6 +207,8 @@ def parse_kernel(text: str) -> Kernel:
         k, sep, v = item.partition("=")
         if not sep:
             raise ValueError(f"bad kernel parameter {item!r} in {text!r}")
+        if k in kv:
+            raise ValueError(f"kernel parameter {k!r} given twice in {text!r}")
         kv[k] = float(v)
     families = {"power": PowerLawKernel, "powerlog": PowerLogKernel}
     if head not in families:

@@ -14,7 +14,6 @@ from scipy.stats import chi2, spearmanr
 
 from alphagraph import (
     ModelParams,
-    NearestNeighborKernel,
     PowerLawKernel,
     components,
     extinction,

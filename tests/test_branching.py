@@ -112,6 +112,30 @@ class TestExtinctionSolver:
         assert extinction(pgf).extinction_q == 0.0
         assert extinction_bisection(pgf).extinction_q == 0.0
 
+    @pytest.mark.parametrize("tol", [1e-16, 1e-300])
+    def test_bisection_ends_below_the_spacing_of_doubles(self, tol):
+        # Near q ~ 0.999 adjacent doubles are ~1.1e-16 apart, so no bracket
+        # narrows to tol: bisection stops at the finest one.  A solver that
+        # loops raises here, after 10^4 PGF evaluations, instead of hanging.
+        class Budgeted:
+            def __init__(self, pgf):
+                self.pgf, self.calls = pgf, 0
+
+            def value(self, s):
+                self.calls += 1
+                if self.calls > 10**4:
+                    raise RuntimeError("more than 10^4 PGF evaluations")
+                return self.pgf.value(s)
+
+            def mean(self):
+                return self.pgf.mean()
+
+        for pgf in (PoissonPGF(1.0005), finite_degree_pgf(ModelParams.make(1000, 1.0, 1.0005))):
+            r = extinction(Budgeted(pgf), tol)
+            assert abs(r.extinction_q - extinction(pgf, 1e-15).extinction_q) <= 1e-15
+            assert r.residual <= 2.3e-16
+        assert extinction(Budgeted(PoissonPGF(1.0005)), tol).extinction_q == 0.9990006662778812
+
     @pytest.mark.parametrize("solver", [extinction, extinction_bisection])
     def test_one_offspring_law_never_dies_out(self, solver):
         # Z = 1 always: f(s) = s, mean 1, and the smallest fixed point is 0

@@ -32,17 +32,19 @@ def run(argv):
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def run_fresh(code: str, **env: str) -> str:
+def run_fresh(code: str, timeout: float | None = None, **env: str) -> str:
     """stdout of a fresh process that runs `code` with alphagraph importable.
 
-    The process starts with none of BLAS_THREAD_VARS set, then with `env`.
+    The process starts with none of BLAS_THREAD_VARS set, then with `env`;
+    it must exit 0, within `timeout` seconds if given.
     """
     src = str(Path(alphagraph.__file__).resolve().parents[1])
     path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
     base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
     full_env = dict(base, PYTHONPATH=os.pathsep.join(path), **env)
     out = subprocess.run(
-        [sys.executable, "-c", code], env=full_env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=full_env, capture_output=True, text=True, check=True,
+        timeout=timeout,
     )
     return out.stdout
 
@@ -185,6 +187,16 @@ class TestSample:
         graph, header = read_edge_list(out)
         assert graph.n == 1000
         assert header["alpha"] == "inf"
+
+    def test_three_spellings_of_infinite_alpha_are_one_kernel(self, tmp_path):
+        outs = []
+        for i, law in enumerate([["--alpha", "inf"], ["--kernel", "nn"],
+                                 ["--kernel", "power:alpha=inf"]]):
+            outs.append(tmp_path / f"g{i}.edges")
+            argv = ["sample", "--n", "500", *law, "--c", "1.5", "--seed", "3"]
+            assert run([*argv, "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+        assert outs[0].read_text().startswith("# alphagraph v1 n=500 alpha=inf c=1.5 seed=3\n")
 
     def test_matches_in_process_sampler(self, tmp_path):
         out = tmp_path / "g.edges"
@@ -347,6 +359,14 @@ class TestGwRho:
         assert run(["gw-rho", "--c", "2", "--n", "2", "--alpha", "0"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["q"] == 0.0 and payload["rho"] == 1.0
+
+    def test_tolerance_below_the_spacing_of_doubles_ends(self):
+        # near q ~ 0.999 adjacent doubles are ~1.1e-16 apart: bisection stops
+        # at the finest bracket instead of looping forever
+        code = ("import sys; from alphagraph.cli import main; "
+                'sys.exit(main(["gw-rho", "--c", "1.0005", "--tol", "1e-16"]))')
+        payload = json.loads(run_fresh(code, timeout=60))
+        assert payload["q"] == 0.9990006662778812 and payload["iterations"] == 53
 
     def test_finite_n_requires_alpha(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -578,6 +598,11 @@ class TestErrorPaths:
              "argument --c: expected number >= 0, got '-1e-3'"),
             (["sample", "--n", "-1e5", "--alpha", "1", "--c", "1"],
              "argument --n: expected integer >= 2, got '-1e5'"),
+            # a kernel parameter is given once
+            (["sample", "--n", "100", "--kernel", "power:alpha=1,alpha=3", "--c", "1"],
+             "argument --kernel: kernel parameter 'alpha' given twice"),
+            (["probe", "--kernel", "powerlog:alpha=1,beta=1,beta=2", "--cs", "1", "--ns", "100"],
+             "argument --kernel: kernel parameter 'beta' given twice"),
         ],
     )
     def test_malformed_argv_exits_2_before_sampling(
@@ -613,6 +638,27 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "missing.txt" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ("1 1.0\n1 0.5\n2 0.4\n3 0.3\n", "k.txt:2: distance d=1 appears twice"),
+            ("1 inf\n2 0.5\n3 0.3\n", "kernel values must be finite and positive"),
+            ("1 nan\n2 0.5\n3 0.3\n", "kernel values must be finite and positive"),
+            ("# d f(d)\n1 1.0\n2 0.5 0.1\n3 0.3\n", "k.txt:3: expected two fields 'd f(d)', got 3"),
+        ],
+        ids=["repeated-d", "inf", "nan", "three-fields"],
+    )
+    def test_malformed_custom_table_exits_1(self, tmp_path, capsys, table, message):
+        path = tmp_path / "k.txt"
+        path.write_text(table)
+        out = tmp_path / "x"
+        argv = ["sample", "--n", "6", "--c", "1", "--kernel", f"custom:{path}", "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert len(err.splitlines()) == 1
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -95,6 +95,16 @@ class TestComponents:
         assert s.sizes.sum() == 2000
         assert s.largest >= s.second_largest >= 0
 
+    def test_summaries_compare_like_graphs(self):
+        g = sample_fast(ModelParams.make(500, 1.0, 1.5, seed=3))
+        assert components(g) == components(g) == components_bfs(g)
+        assert not components(g) != components(g)
+        assert components(g) != components(ring_graph(500))
+        assert components(empty_graph(3)) != components(empty_graph(4))
+        assert components(g) != components(g).sizes.tolist()
+        with pytest.raises(TypeError):
+            hash(components(g))
+
     def test_engine_equals_bfs_on_random_graphs(self):
         for g in oracle_graphs():
             assert components(g).sizes.tolist() == components_bfs(g).sizes.tolist()

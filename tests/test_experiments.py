@@ -24,7 +24,6 @@ from alphagraph.experiments import (
 )
 from alphagraph.model import (
     ModelParams,
-    NearestNeighborKernel,
     PowerLawKernel,
     PowerLogKernel,
     TabulatedKernel,
@@ -379,7 +378,7 @@ class TestBlocks:
     def test_full_ring_adjacent_only(self):
         # alpha=inf, c=2 clamps every nearest-neighbor edge open: adjacent
         # blocks always connect, non-adjacent never do
-        params = ModelParams(n=256, c=2.0, kernel=NearestNeighborKernel(), seed=3)
+        params = ModelParams(n=256, c=2.0, kernel=PowerLawKernel(math.inf), seed=3)
         (st,) = block_connectivity(params, (16,), 4)
         assert st.adjacent_connect_freq == 1.0
         assert st.nonadjacent_connect_freq == 0.0

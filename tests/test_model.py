@@ -6,7 +6,6 @@ import pytest
 from alphagraph import model
 from alphagraph.model import (
     ModelParams,
-    NearestNeighborKernel,
     PowerLawKernel,
     PowerLogKernel,
     TabulatedKernel,
@@ -100,10 +99,10 @@ class TestNormalizer:
             assert math.log(n) <= h <= 2 * math.log(n), (n, h)
 
     def test_nearest_neighbor_value(self):
-        assert normalizer(100, NearestNeighborKernel()) == 2.0
-        assert normalizer(3, NearestNeighborKernel()) == 2.0
+        assert normalizer(100, PowerLawKernel(math.inf)) == 2.0
+        assert normalizer(3, PowerLawKernel(math.inf)) == 2.0
         # n=2: a single other vertex at distance 1
-        assert normalizer(2, NearestNeighborKernel()) == 1.0
+        assert normalizer(2, PowerLawKernel(math.inf)) == 1.0
 
 
 class TestKernels:
@@ -121,6 +120,9 @@ class TestKernels:
             TabulatedKernel((1.0, 2.0))  # increasing
         with pytest.raises(ValueError):
             TabulatedKernel((1.0, 0.0))  # not positive
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite and positive"):
+                TabulatedKernel((bad, 0.5))
         k = TabulatedKernel((1.0, 0.5, 0.25))
         assert k.f(2) == 0.5
         with pytest.raises(ValueError):
@@ -135,11 +137,19 @@ class TestKernels:
         bad.write_text("1 1.0\n3 0.2\n")
         with pytest.raises(ValueError):
             load_tabulated_kernel(bad)
+        twice = tmp_path / "twice.txt"
+        twice.write_text("1 1.0\n1 0.5\n2 0.4\n3 0.3\n")
+        with pytest.raises(ValueError, match=r"twice.txt:2: distance d=1 appears twice"):
+            load_tabulated_kernel(twice)
+        wide = tmp_path / "wide.txt"
+        wide.write_text("1 1.0\n\n2 0.5 0.1\n")
+        with pytest.raises(ValueError, match=r"wide.txt:3: expected two fields 'd f\(d\)', got 3"):
+            load_tabulated_kernel(wide)
 
     def test_parse_kernel_forms(self, tmp_path):
         assert parse_kernel("power:alpha=1.5") == PowerLawKernel(1.5)
         assert parse_kernel("powerlog:alpha=1.0,beta=2.0") == PowerLogKernel(1.0, 2.0)
-        assert parse_kernel("nn") == NearestNeighborKernel()
+        assert parse_kernel("nn") == PowerLawKernel(math.inf)
         path = tmp_path / "k.txt"
         path.write_text("1 0.9\n2 0.4\n")
         assert parse_kernel(f"custom:{path}") == TabulatedKernel((0.9, 0.4))
@@ -150,14 +160,33 @@ class TestKernels:
         for spec in ("power:beta=1", "power:alpha=1,beta=2", "powerlog:alpha=1"):
             with pytest.raises(ValueError, match="bad parameters"):
                 parse_kernel(spec)
+        for spec, key in [("power:alpha=1,alpha=3", "alpha"),
+                          ("powerlog:alpha=1,beta=1,beta=2", "beta")]:
+            with pytest.raises(ValueError, match=f"kernel parameter '{key}' given twice"):
+                parse_kernel(spec)
 
     def test_spec_string_roundtrip(self):
         for k in (PowerLawKernel(0.0), PowerLawKernel(1.5), PowerLogKernel(1.0, 1.0)):
             assert parse_kernel(k.spec_string()) == k
-        assert parse_kernel("nn") == NearestNeighborKernel()
+        assert parse_kernel("nn") == PowerLawKernel(math.inf)
+
+    def test_infinite_alpha_is_nearest_neighbour_percolation(self):
+        k = PowerLawKernel(math.inf)
+        assert parse_kernel("power:alpha=inf") == parse_kernel("nn") == k
+        assert k.spec_string() == "nn"
+        assert (k.f(1), k.f(2), k.f(10**9)) == (1.0, 0.0, 0.0)
+        for n in (2, 3, 4, 5, 64, 1025, 10**6):
+            expected = np.zeros(n // 2)
+            expected[0] = 1.0
+            assert np.array_equal(k.values(n), expected), n
+        for bad in (math.nan, -math.inf, -1.0):
+            with pytest.raises(ValueError, match="alpha must be >= 0"):
+                PowerLawKernel(bad)
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            PowerLogKernel(math.inf, 1.0)
 
     def test_kernel_for_alpha(self):
-        assert kernel_for_alpha(math.inf) == NearestNeighborKernel()
+        assert kernel_for_alpha(math.inf) == PowerLawKernel(math.inf)
         assert kernel_for_alpha(2.0) == PowerLawKernel(2.0)
         with pytest.raises(ValueError):
             kernel_for_alpha(-math.inf)

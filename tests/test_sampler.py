@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from alphagraph.model import (
     ModelParams,
-    NearestNeighborKernel,
     PowerLawKernel,
     PowerLogKernel,
     TabulatedKernel,
@@ -569,7 +568,7 @@ class TestEdgeListFiles:
 
     @pytest.mark.parametrize(
         "kernel",
-        [PowerLawKernel(0.0), PowerLawKernel(1.0), NearestNeighborKernel(), PowerLogKernel(1.0, 2.0)],
+        [PowerLawKernel(0.0), PowerLawKernel(1.0), PowerLawKernel(math.inf), PowerLogKernel(1.0, 2.0)],
     )
     def test_filtration_roundtrip_kernel(self, tmp_path, kernel):
         f = sample_filtration(100, kernel, 2.0, seed=5)

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from alphagraph.model import ModelParams, NearestNeighborKernel, PowerLawKernel, parse_kernel
+from alphagraph.model import ModelParams, PowerLawKernel, parse_kernel
 from alphagraph.sampler import (
     Filtration,
     Graph,
@@ -243,7 +243,7 @@ def _file_cases():
             p, sample_filtration(1000, PowerLawKernel(1.0), 2.0, SEED, 3), SEED
         ),
         "filtration_nn": lambda p: write_filtration(
-            p, sample_filtration(300, NearestNeighborKernel(), 1.5, SEED), SEED
+            p, sample_filtration(300, PowerLawKernel(math.inf), 1.5, SEED), SEED
         ),
         "filtration_empty": lambda p: write_filtration(
             p, Filtration(5, 1.0, PowerLawKernel(1.0), empty, np.empty(0)), SEED
