@@ -52,7 +52,6 @@ from .model import (
     Kernel,
     ModelParams,
     PowerLawKernel,
-    PowerLogKernel,
     TabulatedKernel,
     distance_classes,
     edge_prob,

@@ -24,7 +24,6 @@ import numpy as np
 
 __all__ = [
     "PowerLawKernel",
-    "PowerLogKernel",
     "TabulatedKernel",
     "Kernel",
     "parse_kernel",
@@ -47,53 +46,26 @@ def _fmt(x: float) -> str:
 
 @dataclass(frozen=True)
 class PowerLawKernel:
-    """f(d) = 1 / d**alpha for alpha in [0, inf], the one-parameter family.
+    """f(d) = 1 / (d**alpha * max(ln d, 1)**beta), alpha in [0, inf], beta >= 0.
 
-    alpha = 0 gives Erdos-Renyi graphs; alpha = inf gives f(1) = 1 and f(d) = 0
-    otherwise, bond percolation on the ring (spec "nn"): for n >= 3 the
-    normalizer is 2, so each ring edge is open with probability min(1, c/2).
+    beta = 0 is the power law: alpha = 0 gives Erdos-Renyi graphs; alpha = inf
+    gives f(1) = 1 and f(d) = 0 otherwise, bond percolation on the ring (spec
+    "nn"): for n >= 3 the normalizer is 2, so each ring edge is open with
+    probability min(1, c/2).  beta > 0 (spec "powerlog:...") needs a finite
+    alpha; its log factor is flattened to 1 where ln d < 1 (d <= 2), which
+    keeps f positive and non-increasing where ln 1 = 0 would not.
     """
 
     alpha: float
+    beta: float = 0.0
 
     def __post_init__(self):
         if not self.alpha >= 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        # abs turns -0.0 into 0.0, and no other alpha: equal kernels, one spec
-        object.__setattr__(self, "alpha", abs(self.alpha))
-
-    def f(self, d: int) -> float:
-        return float(d) ** -self.alpha
-
-    def values(self, n: int) -> np.ndarray:
-        if self.alpha == math.inf:  # the indicator of d = 1, without d**-inf per class
-            out = np.zeros(n // 2, dtype=np.float64)
-            out[0] = 1.0
-            return out
-        d = np.arange(1, n // 2 + 1, dtype=np.float64)
-        return d**-self.alpha
-
-    def spec_string(self) -> str:
-        return "nn" if self.alpha == math.inf else f"power:alpha={_fmt(self.alpha)}"
-
-
-@dataclass(frozen=True)
-class PowerLogKernel:
-    """f(d) = 1 / (d**alpha * max(ln d, 1)**beta).
-
-    The log factor is flattened to 1 where ln d < 1 (d <= 2); the raw form is
-    degenerate there (ln 1 = 0) and flattening keeps f positive and
-    non-increasing.
-    """
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if not (self.alpha >= 0 and math.isfinite(self.alpha)):
-            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
         if not (self.beta >= 0 and math.isfinite(self.beta)):
             raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
+        if self.beta and self.alpha == math.inf:
+            raise ValueError(f"alpha must be finite where beta > 0, got {self.alpha}")
         # abs turns -0.0 into 0.0, and no other value: equal kernels, one spec
         object.__setattr__(self, "alpha", abs(self.alpha))
         object.__setattr__(self, "beta", abs(self.beta))
@@ -102,11 +74,18 @@ class PowerLogKernel:
         return float(d) ** -self.alpha * max(math.log(d), 1.0) ** -self.beta
 
     def values(self, n: int) -> np.ndarray:
+        if self.alpha == math.inf:  # the indicator of d = 1, without d**-inf per class
+            out = np.zeros(n // 2, dtype=np.float64)
+            out[0] = 1.0
+            return out
         d = np.arange(1, n // 2 + 1, dtype=np.float64)
-        return d**-self.alpha * np.maximum(np.log(d), 1.0) ** -self.beta
+        power = d**-self.alpha
+        return power * np.maximum(np.log(d), 1.0) ** -self.beta if self.beta else power
 
     def spec_string(self) -> str:
-        return f"powerlog:alpha={_fmt(self.alpha)},beta={_fmt(self.beta)}"
+        if self.beta:
+            return f"powerlog:alpha={_fmt(self.alpha)},beta={_fmt(self.beta)}"
+        return "nn" if self.alpha == math.inf else f"power:alpha={_fmt(self.alpha)}"
 
 
 @dataclass(frozen=True)
@@ -152,7 +131,7 @@ class TabulatedKernel:
         return f"custom:{self._digest}"
 
 
-Kernel = PowerLawKernel | PowerLogKernel | TabulatedKernel
+Kernel = PowerLawKernel | TabulatedKernel
 
 
 def kernel_for_alpha(alpha: float) -> Kernel:
@@ -161,14 +140,27 @@ def kernel_for_alpha(alpha: float) -> Kernel:
 
 
 def kernel_alpha(kernel: Kernel) -> float | None:
-    """Inverse of kernel_for_alpha: the exponent of a power-law kernel, None
-    for any other kernel."""
-    return kernel.alpha if isinstance(kernel, PowerLawKernel) else None
+    """Inverse of kernel_for_alpha: the exponent of a power-law kernel without
+    log correction (beta = 0), None for any other kernel."""
+    return kernel.alpha if isinstance(kernel, PowerLawKernel) and not kernel.beta else None
+
+
+def _ascii_number(text: str, kind: type) -> int | float | None:
+    """kind(text) for kind int or float, None where text is not one: int()
+    and float() also read "_" and non-ASCII digits, which are refused; on the
+    rest, int() takes only [+-]?[0-9]+ (a split field holds no whitespace)."""
+    if text.isascii() and "_" not in text:
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return None
 
 
 def load_tabulated_kernel(path: str | Path) -> TabulatedKernel:
     """Load "d f(d)" pairs, one per line, covering d = 1..D contiguously,
-    each d once."""
+    each d once.  Fields are ASCII numbers without "_": d an integer >= 1,
+    f(d) a float."""
     entries: dict[int, float] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         fields = line.split()
@@ -176,15 +168,20 @@ def load_tabulated_kernel(path: str | Path) -> TabulatedKernel:
             continue
         if len(fields) != 2:
             raise ValueError(f"{path}:{lineno}: expected two fields 'd f(d)', got {len(fields)}")
-        d = int(fields[0])
+        d = _ascii_number(fields[0], int)
+        if d is None or d < 1:
+            raise ValueError(f"{path}:{lineno}: distance d must be an integer >= 1, got {fields[0]!r}")
         if d in entries:
             raise ValueError(f"{path}:{lineno}: distance d={d} appears twice")
-        entries[d] = float(fields[1])
+        value = _ascii_number(fields[1], float)
+        if value is None:
+            raise ValueError(f"{path}:{lineno}: f(d) must be a number, got {fields[1]!r}")
+        entries[d] = value
     if not entries:
         raise ValueError(f"no kernel entries in {path}")
     dmax = max(entries)
     if sorted(entries) != list(range(1, dmax + 1)):
-        raise ValueError(f"kernel file must cover d = 1..{dmax} without gaps")
+        raise ValueError(f"{path}: kernel file must cover d = 1..{dmax} without gaps")
     return TabulatedKernel(tuple(entries[d] for d in range(1, dmax + 1)))
 
 
@@ -192,11 +189,13 @@ def parse_kernel(text: str) -> Kernel:
     """Parse the textual kernel form used by the CLI and config files.
 
     Accepted forms: "power:alpha=1.0", "powerlog:alpha=1.0,beta=1.0", "nn"
-    (the same kernel as "power:alpha=inf"), "custom:<path>".  Each parameter
-    is given once.
+    (the same kernel as "power:alpha=inf"), "custom:<path>".  Both families
+    are one PowerLawKernel: "powerlog:alpha=a,beta=0" is "power:alpha=a".
+    "power" takes exactly alpha, "powerlog" exactly alpha and beta, each once
+    and each an ASCII number without "_", the rule of file headers.
     """
     if text == "nn":
-        return PowerLawKernel(math.inf)
+        text = "power:alpha=inf"
     head, sep, rest = text.partition(":")
     if not sep:
         raise ValueError(f"bad kernel spec {text!r}")
@@ -209,14 +208,17 @@ def parse_kernel(text: str) -> Kernel:
             raise ValueError(f"bad kernel parameter {item!r} in {text!r}")
         if k in kv:
             raise ValueError(f"kernel parameter {k!r} given twice in {text!r}")
-        kv[k] = float(v)
-    families = {"power": PowerLawKernel, "powerlog": PowerLogKernel}
+        kv[k] = _ascii_number(v, float)
+        if kv[k] is None:
+            raise ValueError(
+                f"kernel parameter {k!r} must be a number, got {v!r} in {text!r}"
+            )
+    families = {"power": {"alpha"}, "powerlog": {"alpha", "beta"}}
     if head not in families:
         raise ValueError(f"unknown kernel family {head!r}")
-    try:
-        return families[head](**kv)
-    except TypeError:  # a missing or unknown parameter
-        raise ValueError(f"bad parameters for kernel family {head!r} in {text!r}") from None
+    if kv.keys() != families[head]:  # a missing or unknown parameter
+        raise ValueError(f"bad parameters for kernel family {head!r} in {text!r}")
+    return PowerLawKernel(**kv)
 
 
 def ring_distance(u: int, v: int, n: int) -> int:

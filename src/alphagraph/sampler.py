@@ -32,6 +32,7 @@ import numpy as np
 from .model import (
     Kernel,
     ModelParams,
+    _ascii_number,
     _refuse_over_memory,
     class_edge_probs,
     distance_classes,
@@ -710,17 +711,10 @@ def _parse_header(line: str) -> dict:
         raise ValueError(f"header lacks {', '.join(missing)} (header {line!r})")
     values = {}
     for key, kind in (("n", int), ("c", float), ("seed", int)):
-        text = fields[key]
-        try:
-            # int() and float() also read "_" separators and non-ASCII digits,
-            # which the writer never writes; on the rest, int() takes only
-            # [+-]?[0-9]+ (a token holds no whitespace).
-            if not text.isascii() or "_" in text:
-                raise ValueError
-            values[key] = kind(text)
-        except ValueError:
+        values[key] = _ascii_number(fields[key], kind)
+        if values[key] is None:
             raise ValueError(f"header needs {kind.__name__} {key}, got {key}={fields[key]} "
-                             f"(header {line!r})") from None
+                             f"(header {line!r})")
     n, c, seed = values["n"], values["c"], values["seed"]
     if not (math.isfinite(c) and c >= 0):
         raise ValueError(f"header needs finite c >= 0, got c={fields['c']} (header {line!r})")

@@ -217,6 +217,16 @@ class TestSample:
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
+    @pytest.mark.parametrize("alpha", ["1", "inf"])
+    def test_powerlog_at_beta_zero_is_the_power_law(self, tmp_path, alpha):
+        # beta = 0 spells the power law: one stream, one header, one edge file
+        outs = [tmp_path / "alpha.edges", tmp_path / "powerlog.edges"]
+        for law, out in zip((["--alpha", alpha], ["--kernel", f"powerlog:alpha={alpha},beta=0"]), outs):
+            argv = ["sample", "--n", "500", *law, "--c", "1.5", "--seed", "4", "--out", str(out)]
+            assert run(argv) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert outs[0].read_text().startswith(f"# alphagraph v1 n=500 alpha={float(alpha)!r} ")
+
     def test_negative_zero_density_is_zero(self, tmp_path):
         # -0 == 0 as a density: one law, one header and one stream
         outs = [tmp_path / "g-0.edges", tmp_path / "g0.edges"]
@@ -453,6 +463,15 @@ class TestOtherCommands:
         assert len(rows) == 2
         assert rows[0]["kernel"] == "powerlog:alpha=1.0,beta=1.0"
 
+    def test_probe_powerlog_at_beta_zero_is_the_power_law(self, tmp_path):
+        outs = [tmp_path / "power.csv", tmp_path / "powerlog.csv"]
+        for spec, out in zip(("power:alpha=1", "powerlog:alpha=1,beta=0"), outs):
+            assert run(["probe", "--kernel", spec, "--cs", "2", "--ns", "200", "--reps", "2",
+                        "--seed", "8", "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        with open(outs[1]) as fh:
+            assert next(csv.DictReader(fh))["kernel"] == "power:alpha=1.0"
+
     def test_custom_kernel_file(self, tmp_path):
         kern = tmp_path / "k.txt"
         kern.write_text("".join(f"{d} {1.0/d}\n" for d in range(1, 101)))
@@ -603,6 +622,16 @@ class TestErrorPaths:
              "argument --kernel: kernel parameter 'alpha' given twice"),
             (["probe", "--kernel", "powerlog:alpha=1,beta=1,beta=2", "--cs", "1", "--ns", "100"],
              "argument --kernel: kernel parameter 'beta' given twice"),
+            # a log correction needs a finite alpha; power takes no beta, even 0
+            (["sample", "--n", "100", "--kernel", "powerlog:alpha=inf,beta=1", "--c", "1"],
+             "argument --kernel: alpha must be finite"),
+            (["sample", "--n", "100", "--kernel", "power:alpha=1,beta=0", "--c", "1"],
+             "argument --kernel: bad parameters for kernel family 'power'"),
+            # a kernel parameter is an ASCII number without "_", as in file headers
+            (["sample", "--n", "100", "--kernel", "power:alpha=1_0", "--c", "1"],
+             "argument --kernel: kernel parameter 'alpha' must be a number, got '1_0'"),
+            (["probe", "--kernel", "powerlog:alpha=1,beta=\uff12", "--cs", "1", "--ns", "100"],
+             "argument --kernel: kernel parameter 'beta' must be a number"),
         ],
     )
     def test_malformed_argv_exits_2_before_sampling(
@@ -647,8 +676,15 @@ class TestErrorPaths:
             ("1 inf\n2 0.5\n3 0.3\n", "kernel values must be finite and positive"),
             ("1 nan\n2 0.5\n3 0.3\n", "kernel values must be finite and positive"),
             ("# d f(d)\n1 1.0\n2 0.5 0.1\n3 0.3\n", "k.txt:3: expected two fields 'd f(d)', got 3"),
+            ("1 1.0\n2.5 0.5\n3 0.3\n", "k.txt:2: distance d must be an integer >= 1, got '2.5'"),
+            ("1 1.0\n2 abc\n3 0.3\n", "k.txt:2: f(d) must be a number, got 'abc'"),
+            ("1 1.0\n1_0 0.5\n", "k.txt:2: distance d must be an integer >= 1, got '1_0'"),
+            ("1 1.0\n2 0_5\n3 0.3\n", "k.txt:2: f(d) must be a number, got '0_5'"),
+            ("\uff11 1.0\n\uff12 0.5\n\uff13 0.3\n", "k.txt:1: distance d must be an integer >= 1"),
+            ("0 1.0\n", "k.txt:1: distance d must be an integer >= 1, got '0'"),
         ],
-        ids=["repeated-d", "inf", "nan", "three-fields"],
+        ids=["repeated-d", "inf", "nan", "three-fields", "float-d", "word-value", "underscore-d",
+             "underscore-value", "full-width-digits", "zero-d"],
     )
     def test_malformed_custom_table_exits_1(self, tmp_path, capsys, table, message):
         path = tmp_path / "k.txt"

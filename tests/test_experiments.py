@@ -25,7 +25,6 @@ from alphagraph.experiments import (
 from alphagraph.model import (
     ModelParams,
     PowerLawKernel,
-    PowerLogKernel,
     TabulatedKernel,
     class_edge_probs,
     parse_kernel,
@@ -218,7 +217,7 @@ class TestConjectureProbe:
     def test_divergent_h_kernel_trend_increasing(self):
         # f(x) = 1/(x ln x): normalizer diverges, so supercritical behavior
         # should strengthen with n toward the Poisson survival value
-        kernel = PowerLogKernel(1.0, 1.0)
+        kernel = PowerLawKernel(1.0, 1.0)
         ns = (10**4, 31623, 10**5, 316228)
         result = conjecture_probe(kernel, ns=ns, cs=(2.0,), replicates=10, master_seed=MASTER)
         fr = [cell_at(result, n).mean_fraction for n in ns]
@@ -228,7 +227,7 @@ class TestConjectureProbe:
 
     def test_convergent_h_kernel_trend_decreasing(self):
         # f(x) = 1/(x ln^2 x): bounded normalizer, no giant just above c=1
-        kernel = PowerLogKernel(1.0, 2.0)
+        kernel = PowerLawKernel(1.0, 2.0)
         ns = (10**4, 31623, 10**5, 316228)
         result = conjecture_probe(kernel, ns=ns, cs=(1.05,), replicates=10, master_seed=MASTER)
         fr = [cell_at(result, n).mean_fraction for n in ns]

@@ -7,7 +7,6 @@ from alphagraph import model
 from alphagraph.model import (
     ModelParams,
     PowerLawKernel,
-    PowerLogKernel,
     TabulatedKernel,
     distance_classes,
     edge_prob,
@@ -105,9 +104,28 @@ class TestNormalizer:
         assert normalizer(2, PowerLawKernel(math.inf)) == 1.0
 
 
+def _table(tmp_path, text):
+    path = tmp_path / "k.txt"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def _power_values(alpha, n):
+    if alpha == math.inf:
+        out = np.zeros(n // 2)
+        out[0] = 1.0
+        return out
+    return np.arange(1, n // 2 + 1, dtype=np.float64) ** -alpha
+
+
+def _powerlog_values(alpha, beta, n):
+    d = np.arange(1, n // 2 + 1, dtype=np.float64)
+    return d**-alpha * np.maximum(np.log(d), 1.0) ** -beta
+
+
 class TestKernels:
     def test_powerlog_flattens_small_x(self):
-        k = PowerLogKernel(1.0, 1.0)
+        k = PowerLawKernel(1.0, 1.0)
         assert k.f(1) == 1.0
         assert k.f(2) == 0.5
         assert k.f(3) == pytest.approx(1 / (3 * math.log(3)))
@@ -145,10 +163,27 @@ class TestKernels:
         wide.write_text("1 1.0\n\n2 0.5 0.1\n")
         with pytest.raises(ValueError, match=r"wide.txt:3: expected two fields 'd f\(d\)', got 3"):
             load_tabulated_kernel(wide)
+        assert load_tabulated_kernel(_table(tmp_path, "1 1e0\n2 .5\n+3 2.5E-1\n")).table == (1.0, 0.5, 0.25)
+        # fields are ASCII numbers without "_", d >= 1, and each refusal names file and line
+        for table, message in [
+            ("1 1.0\n2.5 0.5\n", ":2: distance d must be an integer >= 1, got '2.5'"),
+            ("1 1.0\n1_0 0.5\n", ":2: distance d must be an integer >= 1, got '1_0'"),
+            ("\uff11 1.0\n\uff12 0.5\n", ":1: distance d must be an integer >= 1, got '\uff11'"),
+            ("0 1.0\n", ":1: distance d must be an integer >= 1, got '0'"),
+            ("-1 1.0\n1 0.5\n", ":1: distance d must be an integer >= 1, got '-1'"),
+            ("1 1.0\n2 abc\n", ":2: f(d) must be a number, got 'abc'"),
+            ("1 1.0\n2 0_5\n", ":2: f(d) must be a number, got '0_5'"),
+            ("1 1.0\n2 \uff10.5\n", ":2: f(d) must be a number, got '\uff10.5'"),
+            ("1 1.0\n3 0.5\n", ": kernel file must cover d = 1..3 without gaps"),
+        ]:
+            path = _table(tmp_path, table)
+            with pytest.raises(ValueError) as err:
+                load_tabulated_kernel(path)
+            assert str(err.value) == f"{path}{message}", table
 
     def test_parse_kernel_forms(self, tmp_path):
         assert parse_kernel("power:alpha=1.5") == PowerLawKernel(1.5)
-        assert parse_kernel("powerlog:alpha=1.0,beta=2.0") == PowerLogKernel(1.0, 2.0)
+        assert parse_kernel("powerlog:alpha=1.0,beta=2.0") == PowerLawKernel(1.0, 2.0)
         assert parse_kernel("nn") == PowerLawKernel(math.inf)
         path = tmp_path / "k.txt"
         path.write_text("1 0.9\n2 0.4\n")
@@ -157,16 +192,21 @@ class TestKernels:
             parse_kernel("power")
         with pytest.raises(ValueError):
             parse_kernel("mystery:alpha=1")
-        for spec in ("power:beta=1", "power:alpha=1,beta=2", "powerlog:alpha=1"):
+        for spec in ("power:beta=1", "power:alpha=1,beta=2", "power:alpha=1,beta=0",
+                     "powerlog:alpha=1", "powerlog:beta=1", "powerlog:alpha=1,beta=1,gamma=2"):
             with pytest.raises(ValueError, match="bad parameters"):
                 parse_kernel(spec)
         for spec, key in [("power:alpha=1,alpha=3", "alpha"),
                           ("powerlog:alpha=1,beta=1,beta=2", "beta")]:
             with pytest.raises(ValueError, match=f"kernel parameter '{key}' given twice"):
                 parse_kernel(spec)
+        for spec, key in [("power:alpha=1_0", "alpha"), ("power:alpha=\uff11", "alpha"),
+                          ("power:alpha=", "alpha"), ("powerlog:alpha=1,beta=x", "beta")]:
+            with pytest.raises(ValueError, match=f"kernel parameter '{key}' must be a number"):
+                parse_kernel(spec)
 
     def test_spec_string_roundtrip(self):
-        for k in (PowerLawKernel(0.0), PowerLawKernel(1.5), PowerLogKernel(1.0, 1.0)):
+        for k in (PowerLawKernel(0.0), PowerLawKernel(1.5), PowerLawKernel(1.0, 1.0)):
             assert parse_kernel(k.spec_string()) == k
         assert parse_kernel("nn") == PowerLawKernel(math.inf)
 
@@ -183,7 +223,48 @@ class TestKernels:
             with pytest.raises(ValueError, match="alpha must be >= 0"):
                 PowerLawKernel(bad)
         with pytest.raises(ValueError, match="alpha must be finite"):
-            PowerLogKernel(math.inf, 1.0)
+            PowerLawKernel(math.inf, 1.0)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 3.0, math.inf])
+    def test_beta_zero_is_the_power_law_bit_for_bit(self, alpha):
+        k = PowerLawKernel(alpha)
+        assert k == PowerLawKernel(alpha, 0.0) == PowerLawKernel(alpha, -0.0)
+        assert hash(k) == hash(PowerLawKernel(alpha, -0.0))
+        assert math.copysign(1.0, PowerLawKernel(alpha, -0.0).beta) == 1.0
+        assert k.spec_string() == ("nn" if alpha == math.inf else f"power:alpha={alpha!r}")
+        assert kernel_alpha(k) == alpha
+        for n in (2, 3, 64, 1025, 10**6):
+            assert k.values(n).tobytes() == _power_values(alpha, n).tobytes(), n
+        for d in (1, 2, 3, 7, 512, 10**6):
+            assert k.f(d) == float(d) ** -alpha, d
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.5])
+    def test_log_corrected_bit_for_bit(self, alpha, beta):
+        k = PowerLawKernel(alpha, beta)
+        assert k.spec_string() == f"powerlog:alpha={alpha!r},beta={beta!r}"
+        assert parse_kernel(k.spec_string()) == k
+        assert kernel_alpha(k) is None
+        for n in (2, 3, 64, 1025, 10**6):
+            assert k.values(n).tobytes() == _powerlog_values(alpha, beta, n).tobytes(), n
+        for d in (1, 2, 3, 7, 512, 10**6):
+            assert k.f(d) == float(d) ** -alpha * max(math.log(d), 1.0) ** -beta, d
+
+    def test_merged_type_rules(self):
+        # powerlog at beta = 0 spells the power law, alpha = inf included
+        assert parse_kernel("powerlog:alpha=1,beta=0") == parse_kernel("power:alpha=1")
+        assert parse_kernel("powerlog:alpha=1,beta=0").spec_string() == "power:alpha=1.0"
+        assert parse_kernel("powerlog:alpha=inf,beta=0") == parse_kernel("nn")
+        assert parse_kernel("powerlog:alpha=-0,beta=-0").spec_string() == "power:alpha=0.0"
+        for spec in ("powerlog:alpha=inf,beta=1", "powerlog:alpha=inf,beta=1e-300"):
+            with pytest.raises(ValueError, match="alpha must be finite"):
+                parse_kernel(spec)
+        for beta in (math.nan, math.inf, -math.inf, -1.0, -1e-300):
+            with pytest.raises(ValueError, match="beta must be finite and >= 0"):
+                PowerLawKernel(1.0, beta)
+        for alpha in (math.nan, -1.0):
+            with pytest.raises(ValueError, match="alpha must be >= 0"):
+                PowerLawKernel(alpha, 1.0)
 
     def test_kernel_for_alpha(self):
         assert kernel_for_alpha(math.inf) == PowerLawKernel(math.inf)
@@ -194,7 +275,7 @@ class TestKernels:
     def test_kernel_alpha_inverts_kernel_for_alpha(self):
         for alpha in (0.0, 1.0, 2.5, math.inf):
             assert kernel_alpha(kernel_for_alpha(alpha)) == alpha
-        assert kernel_alpha(PowerLogKernel(1.0, 1.0)) is None
+        assert kernel_alpha(PowerLawKernel(1.0, 1.0)) is None
         assert kernel_alpha(TabulatedKernel((1.0, 0.5))) is None
 
     def test_tabulated_equal_tables_equal_kernels(self):

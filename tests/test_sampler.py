@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from alphagraph.model import (
     ModelParams,
     PowerLawKernel,
-    PowerLogKernel,
     TabulatedKernel,
     class_edge_probs,
     distance_classes,
@@ -568,7 +567,7 @@ class TestEdgeListFiles:
 
     @pytest.mark.parametrize(
         "kernel",
-        [PowerLawKernel(0.0), PowerLawKernel(1.0), PowerLawKernel(math.inf), PowerLogKernel(1.0, 2.0)],
+        [PowerLawKernel(0.0), PowerLawKernel(1.0), PowerLawKernel(math.inf), PowerLawKernel(1.0, 2.0)],
     )
     def test_filtration_roundtrip_kernel(self, tmp_path, kernel):
         f = sample_filtration(100, kernel, 2.0, seed=5)
