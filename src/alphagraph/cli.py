@@ -20,30 +20,41 @@ from dataclasses import asdict
 
 from . import branching, sampler
 from .components import components, omega_for
-from .model import Kernel, ModelParams, kernel_for_alpha, parse_kernel
+from .model import Kernel, ModelParams, _ascii_number, kernel_for_alpha, parse_kernel
 from .sampler import MAX_PAIR_KEY_N, read_edge_list, sample_fast, write_edge_list
 
 __all__ = ["main"]
 
 
-def _int_arg(text: str) -> int:
-    """Integer flag accepting scientific notation (1e5, 2.5e3)."""
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    value = _float_arg(text)
-    if value != int(value):
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    return int(value)
+def _number_arg(text: str) -> float:
+    """Float flag under the one number rule, model._ascii_number: "_" and
+    non-ASCII digits are malformed; inf and nan pass to the caller's check."""
+    value = _ascii_number(text, float)
+    if value is None:
+        raise ValueError(text)  # argparse names the flag, its type and the value
+    return value
 
 
 def _float_arg(text: str) -> float:
     """Finite float flag; nan and +-inf are malformed arguments."""
-    value = float(text)
+    value = _number_arg(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
+
+
+def _int_arg(text: str) -> int:
+    """Integer flag accepting scientific notation (1e5, 2.5e3), read exactly."""
+    value = _ascii_number(text, int)
+    if value is not None:
+        return value
+    _float_arg(text)  # the spelling and finiteness rules: at most ~309 digits remain
+    from decimal import Decimal  # only this spelling needs it
+
+    exact = Decimal(text)
+    if exact != exact.to_integral_value():
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    return int(exact)
 
 
 def _at_least(parse, low, kind: str, strict: bool = False, below=None):
@@ -78,7 +89,7 @@ def _text_checked(rule):
     return check
 
 
-_alpha_arg = _at_least(float, 0, "alpha")  # inf selects the nearest-neighbor kernel
+_alpha_arg = _at_least(_number_arg, 0, "alpha")  # inf selects the nearest-neighbor kernel
 _nonneg_float_arg = _at_least(_float_arg, 0, "number")  # edge densities, increments
 _pos_float_arg = _at_least(_float_arg, 0, "number", strict=True)  # solver tolerance, c'
 _pos_int_arg = _at_least(_int_arg, 1, "integer")  # counts, block sizes, pair caps

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _refuse_over_memory
+from .model import _ascii_number, _refuse_over_memory
 from .sampler import Graph
 
 __all__ = [
@@ -135,10 +135,9 @@ def omega_for(rule: str, n: int) -> int:
         return max(1, math.ceil(math.log(n) ** 4))
     if rule == "loglog":
         return max(1, math.ceil(math.log(math.log(n))))
-    try:
-        value = int(rule)
-    except ValueError:
-        raise ValueError(f"unknown omega rule {rule!r}; use log4, loglog or an integer") from None
+    value = _ascii_number(rule, int)
+    if value is None:
+        raise ValueError(f"unknown omega rule {rule!r}; use log4, loglog or an integer")
     if value < 1:
         raise ValueError(f"omega must be >= 1, got {value}")
     return value

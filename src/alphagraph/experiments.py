@@ -8,7 +8,7 @@ Every driver runs its replicates through one runner, _run_replicates.  It
 cuts each cell's replicates into one run of consecutive replicates per
 worker, or per replicate if there are fewer (_replicate_jobs).  It maps the
 driver's run function over every cell's runs in a pool of min(workers,
-runs) processes, or serially when that is one, and returns each cell's
+runs, CPUs) processes, or serially when that is one, and returns each cell's
 results in replicate order.  Drivers pass their workers argument
 straight to it, and it alone resolves workers=None.  One failure policy
 holds for all of them: the first run of a cell that raises, in replicate
@@ -86,14 +86,16 @@ def _run_replicates(run, cells: list[tuple], replicates: int, workers: int | Non
     one result per replicate in [start, stop).  A cell with a failing run
     gets that run's RuntimeError instead of a list (the first one in
     replicate order), whatever the worker count.  workers=None runs one
-    worker per CPU; a count below 1 runs one.
+    worker per CPU; a count below 1 runs one.  More workers than CPUs split
+    the replicates as asked but start at most one process per CPU.
     """
     if replicates < 1:
         raise ValueError("need replicates >= 1")
-    workers = max(1, (os.cpu_count() or 1) if workers is None else workers)
+    cpus = os.cpu_count() or 1
+    workers = max(1, cpus if workers is None else workers)
     spans = _replicate_jobs(len(cells), replicates, workers)
     jobs = [(run, cells[cell], start, stop) for cell, start, stop in spans]
-    processes = min(workers, len(jobs))
+    processes = min(workers, len(jobs), cpus)
     if processes == 1:
         outputs = map(_run_job, jobs)
     else:

@@ -148,7 +148,9 @@ def kernel_alpha(kernel: Kernel) -> float | None:
 def _ascii_number(text: str, kind: type) -> int | float | None:
     """kind(text) for kind int or float, None where text is not one: int()
     and float() also read "_" and non-ASCII digits, which are refused; on the
-    rest, int() takes only [+-]?[0-9]+ (a split field holds no whitespace)."""
+    rest, int() takes only [+-]?[0-9]+ (and surrounding whitespace, which a
+    split field does not hold).  The one rule for every number read from
+    text: flags, file headers, kernel specs, tables and cutoff literals."""
     if text.isascii() and "_" not in text:
         try:
             return kind(text)
@@ -182,7 +184,10 @@ def load_tabulated_kernel(path: str | Path) -> TabulatedKernel:
     dmax = max(entries)
     if sorted(entries) != list(range(1, dmax + 1)):
         raise ValueError(f"{path}: kernel file must cover d = 1..{dmax} without gaps")
-    return TabulatedKernel(tuple(entries[d] for d in range(1, dmax + 1)))
+    try:
+        return TabulatedKernel(tuple(entries[d] for d in range(1, dmax + 1)))
+    except ValueError as exc:  # a whole-table rule
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def parse_kernel(text: str) -> Kernel:

@@ -765,10 +765,10 @@ def kernel_from_alpha_field(field: str) -> Kernel:
             f"header alpha={field} names a tabulated kernel; its table is not "
             "stored in the file, so the kernel cannot be read back"
         )
-    try:
-        return kernel_for_alpha(float(field))
-    except ValueError:
-        return parse_kernel(field)
+    alpha = _ascii_number(field, float)
+    if alpha is not None and alpha >= 0:  # the values kernel_for_alpha takes
+        return kernel_for_alpha(alpha)
+    return parse_kernel(field)
 
 
 def write_filtration(path: str | Path, filtration: Filtration, seed: int) -> None:

@@ -6,21 +6,22 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 import alphagraph
 from alphagraph import branching, cli, sampler
 from alphagraph.cli import build_parser, main
-from alphagraph.components import components
+from alphagraph.components import components, omega_for
 from alphagraph import experiments
 from alphagraph.experiments import triangle_stats
-from alphagraph.model import ModelParams
+from alphagraph.model import ModelParams, load_tabulated_kernel, parse_kernel
 from alphagraph.sampler import MAX_PAIR_KEY_N, format_float, read_edge_list, sample_fast
 
 
@@ -187,6 +188,15 @@ class TestSample:
         graph, header = read_edge_list(out)
         assert graph.n == 1000
         assert header["alpha"] == "inf"
+
+    def test_scientific_notation_is_read_exactly(self, tmp_path):
+        # 2^53 + 1, which a double rounds to 2^53
+        out = tmp_path / "g.edges"
+        assert run(["sample", "--n", "10", "--alpha", "1", "--c", "1",
+                    "--seed", "9007199254740993e0", "--out", str(out)]) == 0
+        header = out.read_text().splitlines()[0]
+        assert header == "# alphagraph v1 n=10 alpha=1.0 c=1.0 seed=9007199254740993"
+        assert json.loads((tmp_path / "g.edges.json").read_text())["config"]["seed"] == 2**53 + 1
 
     def test_three_spellings_of_infinite_alpha_are_one_kernel(self, tmp_path):
         outs = []
@@ -555,6 +565,37 @@ class TestSidecars:
         assert [oct(path.stat().st_mode & 0o777) for path in outputs] == ["0o644"] * 4
 
 
+# Number flags spelled with "_" or with non-ASCII digits, which Python's int()
+# and float() read: each is malformed, as in headers, kernel specs and tables.
+NOT_ASCII_SPELLINGS = {
+    "integer": ["1_00", "\uff11\uff10\uff10", "\u0661\u0660\u0660"],
+    "number": ["0_5", "\uff10.5", "\u0660.5"],
+    "alpha": ["1_0", "\uff12", "\u0662"],
+}
+# (NOT_ASCII_SPELLINGS key, argv with {} for the value, its flag, the flag's type name)
+NOT_ASCII_FLAGS = [
+    ("integer", ["sample", "--n", "{}", "--alpha", "1", "--c", "1"], "--n", "integer >= 2"),
+    ("integer", ["sweep", "--alphas", "1", "--cs", "1", "--ns", "64,{}"], "--ns",
+     "list of integer >= 2"),
+    ("number", ["sample", "--n", "100", "--alpha", "1", "--c", "{}"], "--c", "number >= 0"),
+    ("number", ["sweep", "--alphas", "1", "--cs", "2,{}", "--ns", "64"], "--cs",
+     "list of number >= 0"),
+    ("alpha", ["sample", "--n", "100", "--alpha", "{}", "--c", "1"], "--alpha", "alpha >= 0"),
+    ("alpha", ["sweep", "--alphas", "1,{}", "--cs", "1", "--ns", "64"], "--alphas",
+     "list of alpha >= 0"),
+]
+NOT_ASCII_NUMBER_ROWS = [
+    ([t.format(s) for t in argv],
+     f"argument {flag}: invalid {name} value: {argv[argv.index(flag) + 1].format(s)!r}")
+    for kind, argv, flag, name in NOT_ASCII_FLAGS
+    for s in NOT_ASCII_SPELLINGS[kind]
+] + [
+    (["sprinkle", "--n", "100", "--alpha", "1", "--cprime", "1.5", "--delta", "0.5", "--omega", s],
+     f"argument --omega: unknown omega rule {s!r}")
+    for s in NOT_ASCII_SPELLINGS["integer"]
+]
+
+
 class TestErrorPaths:
     def test_bad_flags_exit_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -632,6 +673,8 @@ class TestErrorPaths:
              "argument --kernel: kernel parameter 'alpha' must be a number, got '1_0'"),
             (["probe", "--kernel", "powerlog:alpha=1,beta=\uff12", "--cs", "1", "--ns", "100"],
              "argument --kernel: kernel parameter 'beta' must be a number"),
+            # so is every number flag: "_", full-width and Arabic-Indic digits
+            *NOT_ASCII_NUMBER_ROWS,
         ],
     )
     def test_malformed_argv_exits_2_before_sampling(
@@ -673,8 +716,9 @@ class TestErrorPaths:
         "table, message",
         [
             ("1 1.0\n1 0.5\n2 0.4\n3 0.3\n", "k.txt:2: distance d=1 appears twice"),
-            ("1 inf\n2 0.5\n3 0.3\n", "kernel values must be finite and positive"),
-            ("1 nan\n2 0.5\n3 0.3\n", "kernel values must be finite and positive"),
+            ("1 inf\n2 0.5\n3 0.3\n", "k.txt: kernel values must be finite and positive"),
+            ("1 nan\n2 0.5\n3 0.3\n", "k.txt: kernel values must be finite and positive"),
+            ("1 0.5\n2 1.0\n3 0.3\n", "k.txt: kernel values must be non-increasing in d"),
             ("# d f(d)\n1 1.0\n2 0.5 0.1\n3 0.3\n", "k.txt:3: expected two fields 'd f(d)', got 3"),
             ("1 1.0\n2.5 0.5\n3 0.3\n", "k.txt:2: distance d must be an integer >= 1, got '2.5'"),
             ("1 1.0\n2 abc\n3 0.3\n", "k.txt:2: f(d) must be a number, got 'abc'"),
@@ -683,8 +727,8 @@ class TestErrorPaths:
             ("\uff11 1.0\n\uff12 0.5\n\uff13 0.3\n", "k.txt:1: distance d must be an integer >= 1"),
             ("0 1.0\n", "k.txt:1: distance d must be an integer >= 1, got '0'"),
         ],
-        ids=["repeated-d", "inf", "nan", "three-fields", "float-d", "word-value", "underscore-d",
-             "underscore-value", "full-width-digits", "zero-d"],
+        ids=["repeated-d", "inf", "nan", "increasing", "three-fields", "float-d", "word-value",
+             "underscore-d", "underscore-value", "full-width-digits", "zero-d"],
     )
     def test_malformed_custom_table_exits_1(self, tmp_path, capsys, table, message):
         path = tmp_path / "k.txt"
@@ -1010,6 +1054,99 @@ class TestErrorPaths:
         code = main(["sweep", "--alphas", "inf,Infinity", "--cs", "2", "--ns", "50",
                      "--reps", "1", "--out", str(out)])
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "n, message",
+        [
+            ("1e400", "expected a finite number, got '1e400'"),
+            ("0e999999999", "expected integer >= 2, got '0e999999999'"),
+            ("1e-999999999", "'1e-999999999' is not an integer"),
+        ],
+    )
+    def test_extreme_exponents_exit_2_at_once(self, tmp_path, capsys, n, message):
+        # an integer flag is read exactly, yet builds no 10**999999999
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--n", n, "--alpha", "1", "--c", "1", "--out", str(tmp_path / "x")])
+        assert time.perf_counter() - start < 5
+        assert exc.value.code == 2
+        assert f"error: argument --n: {message}" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+
+def _read_custom_value(text: str) -> float:
+    """The f(d) field of a one-row custom: table."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "k.txt")
+        path.write_text(f"1 {text}\n")
+        return load_tabulated_kernel(path).table[0]
+
+
+def _header_field(key: str):
+    """The key field of a v1 header that holds the text there."""
+    fields = {"n": "5", "alpha": "1.0", "c": "1.0", "seed": "0"}
+
+    def read(text: str):
+        tokens = (f"{k}={text if k == key else v}" for k, v in fields.items())
+        return sampler._parse_header(" ".join(["# alphagraph v1", *tokens]))[key]
+
+    return read
+
+
+# Every surface that reads a number from text: a CLI flag type, a file header
+# field, a kernel parameter, a custom: table field, a cutoff literal and a
+# filtration's alpha field.  Integers and floats apart.
+INT_SURFACES = {
+    "--n and friends": cli._int_arg,
+    "header n": _header_field("n"),
+    "header seed": _header_field("seed"),
+    "--omega literal": lambda text: omega_for(text, 2),
+}
+FLOAT_SURFACES = {
+    "--c and friends": cli._float_arg,
+    "--alpha": cli._alpha_arg,
+    "header c": _header_field("c"),
+    "kernel parameter": lambda text: parse_kernel(f"power:alpha={text}").alpha,
+    "custom: f(d)": _read_custom_value,
+    "filtration alpha": lambda text: sampler.kernel_from_alpha_field(text).alpha,
+}
+
+
+def _read(parse, text: str):
+    """parse(text), or None where the surface refuses the text."""
+    try:
+        return parse(text)
+    except (ValueError, argparse.ArgumentTypeError):
+        return None
+
+
+class TestOneNumberRule:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        # number-like, with "_", full-width and Arabic-Indic digits mixed in
+        st.from_regex(r"\A[+-]?[0-9_\uff15\u0663]{0,4}(\.[0-9_]{0,3})?([eE][+-]?[0-9\uff10]{1,3})?\Z"),
+        st.text(st.sampled_from("0123456789+-.eE_infa\uff10\u0660\u00b2"), max_size=8),
+    ))
+    @example("1_0")
+    @example("\uff15")
+    @example("\u0663")
+    @example("0_5")
+    @example("2.5e3")
+    @example("9007199254740993e0")
+    @example("-0")
+    @example("inf")
+    def test_every_surface_reads_a_number_alike(self, text):
+        ints = {name: _read(parse, text) for name, parse in INT_SURFACES.items()}
+        floats = {name: _read(parse, text) for name, parse in FLOAT_SURFACES.items()}
+        if "_" in text or not text.isascii():
+            assert set(ints.values()) | set(floats.values()) == {None}
+        readings = [v for v in [*ints.values(), *floats.values()] if v is not None]
+        event(f"accepted by {len(readings)} surfaces")  # shown by --hypothesis-show-statistics
+        int_values = {v for v in ints.values() if v is not None}
+        float_values = {v for v in floats.values() if v is not None}
+        assert len(int_values) <= 1 and len(float_values) <= 1, (ints, floats)
+        if int_values and float_values:  # one exact number, rounded to a double as a float
+            assert {float(v) for v in int_values} == float_values, (ints, floats)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import concurrent.futures
 import csv
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -135,13 +136,15 @@ class TestReplicateJobs:
             lengths = np.diff(bounds)[::2]
             assert lengths.min() >= 1 and lengths.max() - lengths.min() <= 1
 
-    def test_pool_is_no_larger_than_its_job_list(self, monkeypatch):
-        # a stand-in pool records its size and starts no process
-        sizes = []
+    @pytest.fixture
+    def pool(self, monkeypatch) -> SimpleNamespace:
+        """The size of each pool built and the number of jobs it ran, from a
+        stand-in pool that starts no process."""
+        built = SimpleNamespace(sizes=[], jobs=[])
 
         class StubPool:
             def __init__(self, max_workers):
-                sizes.append(max_workers)
+                built.sizes.append(max_workers)
 
             def __enter__(self):
                 return self
@@ -150,9 +153,16 @@ class TestReplicateJobs:
                 return False
 
             def map(self, fn, jobs, chunksize=1):
+                jobs = list(jobs)
+                built.jobs.append(len(jobs))
                 return map(fn, jobs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubPool)
+        return built
+
+    def test_pool_is_no_larger_than_its_job_list(self, monkeypatch, pool):
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 64)  # more CPUs than jobs
+        sizes = pool.sizes
         kernel = PowerLawKernel(1.0)
         many = sprinkling_experiment(200, kernel, 1.5, 0.5, 8, replicates=2, workers=64)
         assert sizes == [2]
@@ -161,6 +171,14 @@ class TestReplicateJobs:
         spec = SweepSpec(alphas=(1.0,), cs=(2.0,), ns=(16, 32, 64), replicates=2)
         assert run_sweep(spec, workers=64)== run_sweep(spec, workers=1)
         assert sizes == [2, 6]
+
+    def test_pool_is_no_larger_than_the_cpu_count(self, monkeypatch, pool):
+        # 64 workers over 6 jobs on 4 CPUs: the replicates keep the split that
+        # 64 workers ask for, and 4 processes run its 6 jobs
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+        spec = SweepSpec(alphas=(1.0,), cs=(2.0,), ns=(16, 32, 64), replicates=2)
+        assert run_sweep(spec, workers=64) == run_sweep(spec, workers=1)
+        assert (pool.sizes, pool.jobs) == ([4], [6])
 
     def test_batches_split_a_job_mid_cell(self, monkeypatch):
         # 128 vertices per pass at n=64: the job's 7 replicates are drawn and

@@ -175,6 +175,9 @@ class TestKernels:
             ("1 1.0\n2 0_5\n", ":2: f(d) must be a number, got '0_5'"),
             ("1 1.0\n2 \uff10.5\n", ":2: f(d) must be a number, got '\uff10.5'"),
             ("1 1.0\n3 0.5\n", ": kernel file must cover d = 1..3 without gaps"),
+            # whole-table rules name the file
+            ("1 inf\n2 0.5\n", ": kernel values must be finite and positive"),
+            ("1 0.5\n2 1.0\n", ": kernel values must be non-increasing in d"),
         ]:
             path = _table(tmp_path, table)
             with pytest.raises(ValueError) as err:
